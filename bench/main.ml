@@ -542,8 +542,7 @@ let ablation () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = buffer_bytes / Gpusim.Costmodel.record_bytes;
-               on_record = (fun _ _ -> ());
-               on_batch = None;
+               on_batch = (fun _ _ -> ());
                per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
              });
         ignore (Runner.run_default ctx "BERT" ~mode:Runner.Inference);
@@ -560,7 +559,7 @@ let ablation () =
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let nv = Vendor.Nvbit.attach device in
-  Vendor.Nvbit.instrument_memory nv ~on_record:(fun _ _ -> ()) ();
+  Vendor.Nvbit.instrument_memory nv ~on_batch:(fun _ _ -> ()) ();
   ignore (Runner.run_default ctx "RN-18" ~mode:Runner.Inference);
   let p = Vendor.Nvbit.phases nv in
   Format.fprintf ppf
@@ -642,8 +641,10 @@ let bechamel_benches () =
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records = Vendor.Sanitizer.default_buffer_records;
-           on_record = (fun _ a -> count := !count + a.Gpusim.Warp.weight);
-           on_batch = None;
+           on_batch =
+             (fun _ b ->
+               Gpusim.Warp.iter_batch b ~f:(fun a ->
+                   count := !count + a.Gpusim.Warp.weight));
            per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
          });
     fun () -> ignore (Gpusim.Device.launch device kernel)
@@ -706,17 +707,14 @@ type pipeline_run = {
 }
 
 (* One BERT-inference run under fine-grained hotness.  [`Serial] is the
-   legacy per-record path: every sampled record crosses the ring buffer
-   alone and becomes one event allocation, one dispatch and one
-   [on_access] call.  [`Parallel n] is the batched path: packed chunks,
-   an [n]-domain device-side reduction, one merged summary per kernel. *)
+   host-analysis path of an [on_access]-only tool: packed batches cross
+   the ring buffer, and the processor's per-record adapter turns every
+   sampled record into one event allocation, one dispatch and one
+   [on_access] call.  [`Parallel n] is the device-side path: packed
+   chunks, an [n]-domain reduction, one merged summary per kernel. *)
 let pipeline_run ~sample_cap ~iters kind =
   (match kind with
-  | `Serial ->
-      Pasta.Config.set "ACCEL_PROF_DOMAINS" "1";
-      (* the pre-batching pipeline: one host callback, one ring-buffer
-         push and one event dispatch per record *)
-      Pasta.Config.set "ACCEL_PROF_BATCH_DELIVERY" "0"
+  | `Serial -> Pasta.Config.set "ACCEL_PROF_DOMAINS" "1"
   | `Parallel n -> Pasta.Config.set "ACCEL_PROF_DOMAINS" (string_of_int n));
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
@@ -761,7 +759,6 @@ let pipeline_run ~sample_cap ~iters kind =
   let wall = Unix.gettimeofday () -. t0 in
   Dlfw.Ctx.destroy ctx;
   Pasta.Config.unset "ACCEL_PROF_DOMAINS";
-  Pasta.Config.unset "ACCEL_PROF_BATCH_DELIVERY";
   { p_records = !records; p_wall_s = wall; p_report = render () }
 
 (* One configuration measured [reps] times: the median wall time is the

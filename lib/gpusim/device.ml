@@ -37,8 +37,7 @@ type instrument = {
   materialize : bool;
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
-  on_access : launch_info -> Warp.access -> unit;
-  on_access_batch : (launch_info -> Warp.batch -> unit) option;
+  on_access_batch : launch_info -> Warp.batch -> unit;
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -314,10 +313,7 @@ let launch t ?(stream = 0) kernel =
               | _ -> ());
               (* Thinning can empty a chunk; delivering a zero-record batch
                  would only burn ring-buffer and dispatch work. *)
-              if Warp.batch_len b > 0 then
-                match i.on_access_batch with
-                | Some fb -> fb info b
-                | None -> Warp.iter_batch b ~f:(fun a -> i.on_access info a))
+              if Warp.batch_len b > 0 then i.on_access_batch info b)
             results;
           Kernel.total_accesses kernel
         end

@@ -57,14 +57,13 @@ type instrument = {
   instr_name : string;
   materialize : bool;
       (** when true, sampled per-access records are generated and fed to
-          [on_access]; when false only region aggregates are reported *)
+          [on_access_batch]; when false only region aggregates are
+          reported *)
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
-  on_access : launch_info -> Warp.access -> unit;
-  on_access_batch : (launch_info -> Warp.batch -> unit) option;
-      (** when set, materialized records arrive as packed {!Warp.batch}es
-          (in deterministic (region, chunk) order) instead of one
-          [on_access] call per record *)
+  on_access_batch : launch_info -> Warp.batch -> unit;
+      (** materialized records, as packed non-empty {!Warp.batch}es in
+          deterministic (region, chunk) order *)
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 

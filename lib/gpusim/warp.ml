@@ -109,6 +109,21 @@ let iter_batch b ~f =
       }
   done
 
+let sub_batch b ~pos ~len =
+  if pos < 0 || len < 0 || len > b.b_len - pos then invalid_arg "Warp.sub_batch";
+  if pos = 0 && len = b.b_len then b
+  else
+    let sub c = Bigarray.Array1.sub c pos len in
+    {
+      b with
+      b_len = len;
+      addrs = sub b.addrs;
+      sizes = sub b.sizes;
+      warps = sub b.warps;
+      weights = sub b.weights;
+      writes = sub b.writes;
+    }
+
 let check_header ~who ~region ~chunk ~pc =
   if region < 0 || chunk < 0 || pc < 0 then
     invalid_arg (who ^ ": negative header field")

@@ -76,6 +76,12 @@ val batch_weight : batch -> int
 val batch_get : batch -> int -> access
 val iter_batch : batch -> f:(access -> unit) -> unit
 
+val sub_batch : batch -> pos:int -> len:int -> batch
+(** [sub_batch b ~pos ~len] is records [pos .. pos+len-1] of [b], as
+    zero-copy column views with [b]'s header ([b] itself when the range
+    is all of [b]).  Raises [Invalid_argument]
+    when the range is not within [b]. *)
+
 val batch_of_arrays :
   region:int ->
   chunk:int ->

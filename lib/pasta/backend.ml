@@ -143,20 +143,6 @@ let completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
     (Event.kernel_info_of_launch info);
   Telemetry.end_span Telemetry.Handler
 
-let access_feeder t (info : D.launch_info) (a : Gpusim.Warp.access) =
-  Telemetry.begin_span Telemetry.Handler "handler.access";
-  Processor.submit_access t.processor ~time_us:(D.now_us t.device)
-    (Event.kernel_info_of_launch info)
-    {
-      Event.addr = a.Gpusim.Warp.addr;
-      size = a.Gpusim.Warp.size;
-      write = a.Gpusim.Warp.write;
-      pc = a.Gpusim.Warp.pc;
-      warp = a.Gpusim.Warp.warp_id;
-      weight = a.Gpusim.Warp.weight;
-    };
-  Telemetry.end_span Telemetry.Handler
-
 let batch_feeder t (info : D.launch_info) (b : Gpusim.Warp.batch) =
   Telemetry.begin_span Telemetry.Handler "handler.batch";
   Processor.submit_access_batch t.processor ~time_us:(D.now_us t.device)
@@ -209,13 +195,11 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Host_analysis
            {
              buffer_records = Vendor.Sanitizer.default_buffer_records;
-             on_record = access_feeder t;
-             on_batch =
-               (if Config.batch_delivery () then Some (batch_feeder t) else None);
+             on_batch = batch_feeder t;
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->
-      Vendor.Nvbit.instrument_memory s ~on_record:(access_feeder t) ()
+      Vendor.Nvbit.instrument_memory s ~on_batch:(batch_feeder t) ()
   | Tool.Instruction_level, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Instruction_analysis
@@ -236,15 +220,7 @@ let enable_fine_grained t mode =
                      (Event.Shared_access
                         {
                           kernel = Event.kernel_info_of_launch info;
-                          access =
-                            {
-                              Event.addr = a.Gpusim.Warp.addr;
-                              size = a.Gpusim.Warp.size;
-                              write = a.Gpusim.Warp.write;
-                              pc = a.Gpusim.Warp.pc;
-                              warp = a.Gpusim.Warp.warp_id;
-                              weight = a.Gpusim.Warp.weight;
-                            };
+                          access = Event.mem_access_of_warp a;
                         });
                    Telemetry.end_span Telemetry.Handler);
              on_barrier =

@@ -76,7 +76,8 @@ val guard_cooldown_kernels : unit -> int
     out before a half-open probe (default 25). *)
 
 val buffer_capacity : unit -> int
-(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity (default 4096). *)
+(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity, in batches
+    (default 4096). *)
 
 val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
@@ -85,20 +86,6 @@ val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 val watchdog_us : unit -> float
 (** [ACCEL_PROF_WATCHDOG_US]: kernel duration above which the session
     watchdog flags a stuck kernel (default 1e6 us). *)
-
-val batch_delivery : unit -> bool
-(** [ACCEL_PROF_BATCH_DELIVERY]: deliver host-analyzed records to the
-    processor as packed batches (default).  Setting it to [0]/[off]
-    restores the legacy one-callback-per-record path — same results,
-    higher overhead; kept as an A/B switch for overhead studies. *)
-
-val columnar : unit -> bool
-(** [ACCEL_PROF_COLUMNAR]: use the zero-copy columnar hot path — direct
-    {!Tool.t.on_access_columns} delivery with no per-dispatch event
-    wrapping, and per-domain device aggregation merged once per kernel
-    (default).  Setting it to [0]/[off] restores the legacy per-chunk
-    shard path and event-wrapped batch dispatch — same bytes, higher
-    overhead; kept as an escape hatch and equivalence oracle. *)
 
 val domains : unit -> int
 (** [ACCEL_PROF_DOMAINS]: domain-pool size for parallel device-side

@@ -42,6 +42,8 @@ type mem_access = {
   weight : int;  (** true accesses this sampled record stands for *)
 }
 
+val mem_access_of_warp : Gpusim.Warp.access -> mem_access
+
 type region_summary = {
   base : int;
   extent : int;
@@ -75,10 +77,6 @@ type payload =
   | Synchronization of { scope : [ `Device | `Stream of int ] }
   (* Fine-grained device-side operations *)
   | Global_access of { kernel : kernel_info; access : mem_access }
-  | Access_batch of { kernel : kernel_info; batch : Gpusim.Warp.batch }
-      (** packed flat-array record batch from the parallel preprocessing
-          path; dispatched once per batch to tools that opt into
-          [on_access_batch] *)
   | Device_summary of { kernel : kernel_info; summary : Devagg.summary }
       (** merged device-side reduction of a kernel's materialized records *)
   | Shared_access of { kernel : kernel_info; access : mem_access }

@@ -72,6 +72,9 @@ type t = {
   mutable window_failures : int; (* resets when the breaker closes *)
   mutable total : int;
   mutable quarantined_since : int option; (* kernel ordinal at trip *)
+  mutable probing : bool;
+      (* a half-open probe is in flight: held until that one call resolves,
+         whatever the kernel clock does meanwhile *)
   mutable kernels : int;
   mutable quarantines : int;
   mutable reinstated : int;
@@ -102,6 +105,7 @@ let create ?threshold ?cooldown_kernels ?(on_failure = fun _ -> ()) ~on_trip too
     window_failures = 0;
     total = 0;
     quarantined_since = None;
+    probing = false;
     kernels = 0;
     quarantines = 0;
     reinstated = 0;
@@ -121,16 +125,13 @@ let locked t f =
 
 let tool t = t.the_tool
 
-let cooldown_elapsed t =
-  match t.quarantined_since with
-  | None -> false
-  | Some since -> t.kernels - since >= t.cooldown
-
 (* Caller holds [t.mu]. *)
 let state_locked t =
   match t.quarantined_since with
   | None -> Closed
-  | Some _ -> if cooldown_elapsed t then Half_open else Quarantined
+  | Some since ->
+      if (not t.probing) && t.kernels - since >= t.cooldown then Half_open
+      else Quarantined
 
 let state t = locked t (fun () -> state_locked t)
 let note_kernel t = locked t (fun () -> t.kernels <- t.kernels + 1)
@@ -162,11 +163,11 @@ let call t cb f =
             t.suppressed <- t.suppressed + 1;
             `Skip
         | Half_open ->
-            (* Claim the probe: re-arm the quarantine clock so concurrent
-               callers observe [Quarantined] and suppress until this one
-               probe resolves.  One probe decides — success reinstates,
-               failure re-quarantines for another full cooldown. *)
-            t.quarantined_since <- Some t.kernels;
+            (* Claim the probe: concurrent callers observe [Quarantined]
+               and suppress until this one probe resolves.  One probe
+               decides — success reinstates, failure re-quarantines for
+               another full cooldown. *)
+            t.probing <- true;
             `Probe
         | Closed -> `Run)
   in
@@ -176,6 +177,7 @@ let call t cb f =
       match timed t f with
       | () ->
           locked t (fun () ->
+              t.probing <- false;
               t.quarantined_since <- None;
               t.window_failures <- 0;
               t.reinstated <- t.reinstated + 1)
@@ -183,6 +185,7 @@ let call t cb f =
           let failures =
             locked t (fun () ->
                 record_failure_locked t cb;
+                t.probing <- false;
                 t.quarantined_since <- Some t.kernels;
                 t.quarantines <- t.quarantines + 1;
                 t.window_failures)

@@ -42,7 +42,6 @@ type counters = {
   c_buffer_stalls : Metric.counter;
   c_accesses_filtered : Metric.counter;
   c_batches_delivered : Metric.counter;
-  c_deprecated_batch_tools : Metric.counter;
   c_objmap_memo_hits : Metric.counter;
   c_objmap_memo_misses : Metric.counter;
   g_sample_rate : Metric.gauge;
@@ -101,11 +100,6 @@ let make_counters ~device ?label () =
     c_batches_delivered =
       c ~help:"packed batches handed to a batch-aware tool"
         "pasta_batches_delivered";
-    c_deprecated_batch_tools =
-      c
-        ~help:"tools observed on the deprecated event-wrapped on_access_batch \
-               path (counted once per processor)"
-        "pasta_deprecated_batch_tools";
     c_objmap_memo_hits = c ~help:"objmap resolve-memo hits" "pasta_objmap_memo_hits";
     c_objmap_memo_misses =
       c ~help:"objmap resolve-memo misses" "pasta_objmap_memo_misses";
@@ -138,7 +132,6 @@ let make_counters ~device ?label () =
    saw — the replay contract. *)
 type sink_op =
   | Sk_event of Event.payload
-  | Sk_access of Event.kernel_info * Event.mem_access
   | Sk_batch of Event.kernel_info * Gpusim.Warp.batch
   | Sk_region of Event.kernel_info * Event.region_summary
   | Sk_flush_summary of Event.kernel_info
@@ -151,16 +144,11 @@ type sink_op =
 
 type pending_region = { p_base : int; p_extent : int; p_accesses : int; p_written : bool }
 
-(* The bounded buffer holds either legacy single records or packed batches;
-   all drop/peak accounting below counts *records*, so the two shapes are
-   indistinguishable in the health report. *)
-type buffered =
-  | B_one of Event.kernel_info * Event.mem_access * float
-  | B_batch of Event.kernel_info * Gpusim.Warp.batch * float
+(* The bounded buffer holds packed batches: capacity counts items (one per
+   batch), while all drop/peak accounting below counts *records*. *)
+type buffered = Event.kernel_info * Gpusim.Warp.batch * float
 
-let buffered_count = function
-  | B_one _ -> 1
-  | B_batch (_, b, _) -> Gpusim.Warp.batch_len b
+let buffered_count ((_, b, _) : buffered) = Gpusim.Warp.batch_len b
 
 type t = {
   device : int;
@@ -172,11 +160,6 @@ type t = {
   buf : buffered Ring_buffer.t;
   policy : Ring_buffer.overflow;
   mutable pool : Pasta_util.Domain_pool.t option;
-  columnar : bool;
-      (** zero-copy columnar delivery and per-domain aggregation
-          ([ACCEL_PROF_COLUMNAR], snapshotted at creation) *)
-  mutable legacy_batch_noted : bool;
-      (* the deprecation counter fires once per processor, not per batch *)
   mutable dev_accums : Devagg.accum array;
       (* per-worker aggregation state, reused across kernels; sized to the
          pool on first parallel flush *)
@@ -210,8 +193,6 @@ let create ?range ?buffer_capacity ?overflow_policy ?label ~device () =
     buf = Ring_buffer.create ~capacity;
     policy;
     pool = None;
-    columnar = Config.columnar ();
-    legacy_batch_noted = false;
     dev_accums = [||];
     buffered_records = 0;
     incidents = [];
@@ -350,7 +331,6 @@ let in_range t payload =
   match payload with
   | Event.Kernel_launch { info; _ }
   | Event.Global_access { kernel = info; _ }
-  | Event.Access_batch { kernel = info; _ }
   | Event.Device_summary { kernel = info; _ }
   | Event.Shared_access { kernel = info; _ }
   | Event.Kernel_region { kernel = info; _ }
@@ -363,77 +343,36 @@ let in_range t payload =
 
 (* --- Bounded record buffer (paper Fig. 2a's device trace buffer) --- *)
 
-let mem_access_of_warp (a : Gpusim.Warp.access) =
-  {
-    Event.addr = a.Gpusim.Warp.addr;
-    size = a.Gpusim.Warp.size;
-    write = a.Gpusim.Warp.write;
-    pc = a.Gpusim.Warp.pc;
-    warp = a.Gpusim.Warp.warp_id;
-    weight = a.Gpusim.Warp.weight;
-  }
+(* One delivery per batch: a tool with a batch hook reads the Bigarray
+   columns in place (no [Event.t] wrapper, nothing allocated per dispatch);
+   any other tool gets the per-record stream — one [Global_access] dispatch
+   and one [on_access] call per record, in batch order. *)
+let deliver_batch t ((info, batch, time_us) : buffered) =
+  match tool t with
+  | Some { Tool.on_access_columns = Some f; _ }
+  | Some { Tool.on_access_batch = Some f; _ } ->
+      Metric.incr t.ctr.c_batches_delivered;
+      guard_call t Guard.On_access_batch (fun _ -> f info batch)
+  | _ ->
+      Gpusim.Warp.iter_batch batch ~f:(fun a ->
+          let access = Event.mem_access_of_warp a in
+          dispatch t
+            {
+              Event.device = t.device;
+              time_us;
+              payload = Event.Global_access { kernel = info; access };
+            };
+          guard_call t Guard.On_access (fun tool -> tool.Tool.on_access info access))
 
-let deliver_record t (info, access, time_us) =
-  dispatch t
-    {
-      Event.device = t.device;
-      time_us;
-      payload = Event.Global_access { kernel = info; access };
-    };
-  guard_call t Guard.On_access (fun tool -> tool.Tool.on_access info access)
-
-let deliver_batch t info batch time_us =
-  let columns_aware, batch_aware =
-    match tool t with
-    | Some tl ->
-        (t.columnar && tl.Tool.on_access_columns <> None,
-         tl.Tool.on_access_batch <> None)
-    | None -> (false, false)
-  in
-  if columns_aware then begin
-    (* Zero-copy columnar delivery: the tool reads the batch's Bigarray
-       columns in place — no [Event.t] wrapper, no per-record closures,
-       nothing allocated per dispatch. *)
-    Metric.incr t.ctr.c_batches_delivered;
-    guard_call t Guard.On_access_batch (fun tool ->
-        match tool.Tool.on_access_columns with
-        | Some f -> f info batch
-        | None -> ())
-  end
-  else if batch_aware then begin
-    if not t.legacy_batch_noted then begin
-      t.legacy_batch_noted <- true;
-      Metric.incr t.ctr.c_deprecated_batch_tools
-    end;
-    Metric.incr t.ctr.c_batches_delivered;
-    dispatch t
-      {
-        Event.device = t.device;
-        time_us;
-        payload = Event.Access_batch { kernel = info; batch };
-      };
-    guard_call t Guard.On_access_batch (fun tool ->
-        match tool.Tool.on_access_batch with
-        | Some f -> f info batch
-        | None -> ())
-  end
-  else
-    (* Per-record fallback: exactly the legacy event stream — one
-       Global_access dispatch and one on_access call per record. *)
-    Gpusim.Warp.iter_batch batch ~f:(fun a ->
-        deliver_record t (info, mem_access_of_warp a, time_us))
-
-let deliver_item t = function
-  | B_one (info, access, time_us) -> deliver_record t (info, access, time_us)
-  | B_batch (info, batch, time_us) -> deliver_batch t info batch time_us
-
-let flush_records t =
+let drain_ring t =
   Telemetry.begin_span Telemetry.Ring "ring.drain";
   let items = Ring_buffer.drain t.buf in
   t.buffered_records <- 0;
   Telemetry.sample_ring_occupancy 0;
   Telemetry.end_span Telemetry.Ring;
-  List.iter (deliver_item t) items
+  items
+
+let flush_records t = List.iter (deliver_batch t) (drain_ring t)
 
 let buffer_item t item =
   Telemetry.begin_span Telemetry.Ring "ring.push";
@@ -552,16 +491,6 @@ let flush_kernel_summary t ~time_us (info : Event.kernel_info) =
   | _ -> ());
   Telemetry.end_span Telemetry.Dispatch
 
-let submit_access t ~time_us (info : Event.kernel_info) access =
-  Telemetry.begin_span Telemetry.Dispatch "proc.submit_access";
-  tap t ~time_us (Sk_access (info, access));
-  Metric.incr t.ctr.c_events_seen;
-  t.last_time_us <- time_us;
-  if Range.active t.range ~grid_id:info.Event.grid_id then
-    buffer_item t (B_one (info, access, time_us))
-  else Metric.incr t.ctr.c_accesses_filtered;
-  Telemetry.end_span Telemetry.Dispatch
-
 let submit_access_batch t ~time_us (info : Event.kernel_info) batch =
   Telemetry.begin_span Telemetry.Dispatch "proc.submit_batch";
   tap t ~time_us (Sk_batch (info, batch));
@@ -569,7 +498,7 @@ let submit_access_batch t ~time_us (info : Event.kernel_info) batch =
   Metric.add t.ctr.c_events_seen len;
   t.last_time_us <- time_us;
   if Range.active t.range ~grid_id:info.Event.grid_id then
-    buffer_item t (B_batch (info, batch, time_us))
+    buffer_item t (info, batch, time_us)
   else Metric.add t.ctr.c_accesses_filtered len;
   Telemetry.end_span Telemetry.Dispatch
 
@@ -603,21 +532,13 @@ let submit_device_summary t ~time_us (info : Event.kernel_info) summary =
 let drain_parallel t ~time_us (info : Event.kernel_info) =
   tap t ~time_us (Sk_flush_parallel info);
   t.last_time_us <- time_us;
-  Telemetry.begin_span Telemetry.Ring "ring.drain";
-  let items = Ring_buffer.drain t.buf in
-  t.buffered_records <- 0;
-  Telemetry.sample_ring_occupancy 0;
-  Telemetry.end_span Telemetry.Ring;
   let mine, others =
     List.partition
-      (function
-        | B_batch (i, _, _) -> i.Event.grid_id = info.Event.grid_id
-        | B_one _ -> false)
-      items
+      (fun (i, _, _) -> i.Event.grid_id = info.Event.grid_id)
+      (drain_ring t)
   in
-  List.iter (deliver_item t) others;
-  Array.of_list
-    (List.filter_map (function B_batch (_, b, _) -> Some b | B_one _ -> None) mine)
+  List.iter (deliver_batch t) others;
+  Array.of_list (List.map (fun (_, b, _) -> b) mine)
 
 (* Kernel-end reduction for [Gpu_parallel] tools: drain this kernel's
    batches, aggregate each shard (over the pool when one is installed),
@@ -628,53 +549,29 @@ let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
   if Array.length batches > 0 then begin
     Telemetry.begin_span Telemetry.Devagg "devagg.aggregate";
     let view = Objmap.view t.objmap in
-    let merged =
-      if t.columnar then begin
-        (* Columnar path: one accumulator per worker slot, merged exactly
-           once per kernel.  [run_sharded] guarantees a slot is never
-           executed by two domains at once, so the accumulators need no
-           locks; [merge_accums] sorts before emitting, so the summary
-           does not depend on the chunk-to-worker assignment. *)
-        let want =
-          match t.pool with
-          | Some p -> Pasta_util.Domain_pool.parallelism p
-          | None -> 1
-        in
-        (* Accumulators live as long as the processor: kernel N reuses the
-           tables and buffers kernel N-1 grew, so steady state allocates
-           nothing per kernel beyond the summary itself. *)
-        let accums =
-          if Array.length t.dev_accums <> want then begin
-            t.dev_accums <- Array.init want (fun _ -> Devagg.accum_create ());
-            t.dev_accums
-          end
-          else begin
-            Array.iter Devagg.accum_reset t.dev_accums;
-            t.dev_accums
-          end
-        in
-        (match t.pool with
-        | Some p when want > 1 && Array.length batches > 1 ->
-            Pasta_util.Domain_pool.run_sharded p (Array.length batches)
-              (fun ~worker i -> Devagg.accum_add accums.(worker) view batches.(i))
-        | _ ->
-            let acc = accums.(0) in
-            Array.iter (Devagg.accum_add acc view) batches);
-        Devagg.merge_accums ~est_rate:t.cur_rate accums
-      end
-      else begin
-        (* Legacy per-chunk shard path, kept as the equivalence oracle. *)
-        let shards =
-          match t.pool with
-          | Some p when Pasta_util.Domain_pool.size p > 1 && Array.length batches > 1
-            ->
-              Pasta_util.Domain_pool.map p (Array.length batches) (fun i ->
-                  Devagg.aggregate view batches.(i))
-          | _ -> Array.map (Devagg.aggregate view) batches
-        in
-        Devagg.merge ~est_rate:t.cur_rate shards
-      end
+    (* One accumulator per worker slot, merged exactly once per kernel.
+       [run_sharded] guarantees a slot is never executed by two domains at
+       once, so the accumulators need no locks; [merge_accums] sorts before
+       emitting, so the summary does not depend on the chunk-to-worker
+       assignment. *)
+    let want =
+      match t.pool with
+      | Some p -> Pasta_util.Domain_pool.parallelism p
+      | None -> 1
     in
+    (* Accumulators live as long as the processor: kernel N reuses the
+       tables and buffers kernel N-1 grew, so steady state allocates
+       nothing per kernel beyond the summary itself. *)
+    if Array.length t.dev_accums <> want then
+      t.dev_accums <- Array.init want (fun _ -> Devagg.accum_create ())
+    else Array.iter Devagg.accum_reset t.dev_accums;
+    let accums = t.dev_accums in
+    (match t.pool with
+    | Some p when want > 1 && Array.length batches > 1 ->
+        Pasta_util.Domain_pool.run_sharded p (Array.length batches)
+          (fun ~worker i -> Devagg.accum_add accums.(worker) view batches.(i))
+    | _ -> Array.iter (Devagg.accum_add accums.(0) view) batches);
+    let merged = Devagg.merge_accums ~est_rate:t.cur_rate accums in
     Telemetry.end_span Telemetry.Devagg;
     submit_device_summary t ~time_us info merged
   end

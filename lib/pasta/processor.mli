@@ -55,7 +55,6 @@ type stats = {
 
 type sink_op =
   | Sk_event of Event.payload
-  | Sk_access of Event.kernel_info * Event.mem_access
   | Sk_batch of Event.kernel_info * Gpusim.Warp.batch
   | Sk_region of Event.kernel_info * Event.region_summary
   | Sk_flush_summary of Event.kernel_info
@@ -162,18 +161,16 @@ val flush_kernel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Resolve the accumulated regions to objects, aggregate per object, emit
     [Kernel_region] events and call the tool's [on_mem_summary]. *)
 
-val submit_access : t -> time_us:float -> Event.kernel_info -> Event.mem_access -> unit
-(** Feed one host-analyzed trace record (CPU modes).  In-range records
-    enter the bounded buffer and are delivered at the next kernel-end (or
-    {!flush_records}); the overflow policy decides what happens when the
-    producer outruns the drain points. *)
-
 val submit_access_batch :
   t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch -> unit
-(** Feed one packed record batch.  Counts every record in [events_seen];
-    in-range batches enter the bounded buffer whole.  At delivery a tool
-    with [on_access_batch] receives the batch as-is (one {!Event.Access_batch}
-    event); any other tool gets the legacy per-record stream — one
+(** Feed one packed record batch — the only shape a fine-grained record
+    takes on its way to the tool.  Counts every record in [events_seen];
+    in-range batches enter the bounded buffer whole (one item each) and are
+    delivered at the next kernel-end (or {!flush_records}); the overflow
+    policy decides what happens when the producer outruns the drain
+    points.  At delivery a tool with a batch hook
+    ([on_access_columns], else [on_access_batch]) reads the batch
+    zero-copy; any other tool gets the per-record stream — one
     [Global_access] event and [on_access] call per record, in batch
     order. *)
 

@@ -42,8 +42,12 @@ let magic = "PTRC"
    bumps again.  The writer starts a fresh chunk whenever the backend id
    changes, keeping every chunk single-backend: a corrupt chunk then
    costs ops of exactly one backend, which is what lets a tolerant
-   reader skip one backend's damage without touching the others. *)
-let version = 4
+   reader skip one backend's damage without touching the others.
+
+   v5: fine-grained records have one shape, the packed batch.  The
+   per-record op (tag 1) and the event-wrapped batch payload (tag 9) are
+   gone; their tags stay unassigned and read as corruption. *)
+let version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Encoding primitives                                                 *)
@@ -111,9 +115,20 @@ let get_f c =
 
 let get_bool c = get_byte c <> 0
 
+let remaining c = c.c_limit - c.c_pos
+
+(* A decoded length or element count.  A 9-byte varint reaches bit 62, so
+   a corrupt one can come out negative.  [max] bounds it from above; the
+   default, the bytes left after it, fits lists whose every element takes
+   at least one byte. *)
+let get_len ?max c what =
+  let n = get_u c in
+  let max = match max with Some m -> m | None -> remaining c in
+  if n < 0 || n > max then corrupt "bad %s length %d" what n;
+  n
+
 let get_str c =
-  let len = get_u c in
-  if c.c_pos + len > c.c_limit then corrupt "truncated string";
+  let len = get_len c "string" in
   let s = String.sub c.c_s c.c_pos len in
   c.c_pos <- c.c_pos + len;
   s
@@ -142,7 +157,7 @@ let put_frames buf frames =
     frames
 
 let get_frames c =
-  let n = get_u c in
+  let n = get_len c "frame list" in
   List.init n (fun _ ->
       let file = get_str c in
       let line = get_u c in
@@ -181,7 +196,7 @@ let get_kernel_info_body c =
   let grid = get_dim3 c in
   let block = get_dim3 c in
   let shared_bytes = get_u c in
-  let nargs = get_u c in
+  let nargs = get_len c "argument list" in
   let arg_ptrs = List.init nargs (fun _ -> get_z c) in
   let py_stack = get_frames c in
   let native_stack = get_frames c in
@@ -372,10 +387,10 @@ let get_colf c ~(set : int -> int -> unit) len =
       done
   | n -> corrupt "bad column tag %d" n
 
-(* Upper bound on a decoded batch: generated batches hold at most
-   {!Gpusim.Warp.chunk_records} records, but column compression means a
-   tiny payload can declare a huge length, so corrupt data must not be
-   able to force absurd allocations. *)
+(* Upper bound on a decoded batch or pair list: generated batches hold at
+   most {!Gpusim.Warp.chunk_records} records, but compression means a tiny
+   payload can declare a huge length, so corrupt data must not be able to
+   force absurd allocations. *)
 let max_batch_len = 1 lsl 22
 
 let put_batch buf (b : Gpusim.Warp.batch) =
@@ -428,8 +443,8 @@ let get_batch c =
   let region = get_u c in
   let chunk = get_u c in
   let pc = get_u c in
-  let len = get_u c in
-  if len > max_batch_len then corrupt "batch length %d exceeds limit" len;
+  if region < 0 || chunk < 0 || pc < 0 then corrupt "negative batch header field";
+  let len = get_len ~max:max_batch_len c "batch" in
   let module W = Gpusim.Warp in
   (* Columns decode straight into their final Bigarray storage and the
      batch adopts them zero-copy ([batch_of_columns]): replay hands the
@@ -574,12 +589,13 @@ let put_pair_list buf l =
   end
 
 let get_pair_list c =
-  let n = get_u c in
+  let n = get_len ~max:max_batch_len c "pair list" in
   if n = 0 then []
   else begin
     let prev = ref 0 in
     match get_u c with
     | t when t = pairs_plain ->
+        if n > remaining c then corrupt "bad pair list length %d" n;
         let rec go k acc =
           if k = 0 then List.rev acc
           else begin
@@ -624,7 +640,7 @@ let put_summary buf (s : Devagg.summary) =
   put_f buf s.Devagg.est_rate
 
 let get_summary c =
-  let nobj = get_u c in
+  let nobj = get_len c "object list" in
   let objects =
     List.init nobj (fun _ ->
         let o = get_obj c in
@@ -786,10 +802,6 @@ let put_payload it buf (p : Event.payload) =
       put_u buf 8;
       put_kernel it buf kernel;
       put_access buf access
-  | Event.Access_batch { kernel; batch } ->
-      put_u buf 9;
-      put_kernel it buf kernel;
-      put_batch buf batch
   | Event.Device_summary { kernel; summary } ->
       put_u buf 10;
       put_kernel it buf kernel;
@@ -904,10 +916,6 @@ let get_payload ex c : Event.payload =
       let kernel = get_kernel ex c in
       let access = get_access c in
       Event.Global_access { kernel; access }
-  | 9 ->
-      let kernel = get_kernel ex c in
-      let batch = get_batch c in
-      Event.Access_batch { kernel; batch }
   | 10 ->
       let kernel = get_kernel ex c in
       let summary = get_summary c in
@@ -976,7 +984,6 @@ let get_payload ex c : Event.payload =
 let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
   (match op with
   | Processor.Sk_event _ -> put_u buf 0
-  | Processor.Sk_access _ -> put_u buf 1
   | Processor.Sk_batch _ -> put_u buf 2
   | Processor.Sk_region _ -> put_u buf 3
   | Processor.Sk_flush_summary _ -> put_u buf 4
@@ -987,9 +994,6 @@ let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
   put_f buf time_us;
   match op with
   | Processor.Sk_event p -> put_payload it buf p
-  | Processor.Sk_access (k, a) ->
-      put_kernel it buf k;
-      put_access buf a
   | Processor.Sk_batch (k, b) ->
       put_kernel it buf k;
       put_batch buf b
@@ -1012,10 +1016,6 @@ let get_op ex c =
   let op =
     match tag with
     | 0 -> Processor.Sk_event (get_payload ex c)
-    | 1 ->
-        let k = get_kernel ex c in
-        let a = get_access c in
-        Processor.Sk_access (k, a)
     | 2 ->
         let k = get_kernel ex c in
         let b = get_batch c in
@@ -1040,7 +1040,6 @@ let get_op ex c =
 
 let op_kind_name = function
   | Processor.Sk_event p -> Event.kind_name p
-  | Processor.Sk_access _ -> "global_access"
   | Processor.Sk_batch _ -> "access_batch"
   | Processor.Sk_region _ -> "kernel_region"
   | Processor.Sk_flush_summary _ -> "kernel_flush"
@@ -1049,11 +1048,8 @@ let op_kind_name = function
   | Processor.Sk_rate _ -> "sample_rate"
 
 let op_records = function
-  | Processor.Sk_access _ -> 1
   | Processor.Sk_batch (_, b) -> Gpusim.Warp.batch_len b
   | Processor.Sk_event (Event.Global_access _) -> 1
-  | Processor.Sk_event (Event.Access_batch { batch; _ }) ->
-      Gpusim.Warp.batch_len batch
   | _ -> 0
 
 (* Standalone payload codec for property tests and ad-hoc tooling: a
@@ -1193,20 +1189,27 @@ let input_u ic =
   done;
   !n
 
+(* A length read from the file itself: bounded by the bytes left in it. *)
+let input_len ic what =
+  let n = input_u ic in
+  if n < 0 || n > in_channel_length ic - pos_in ic then
+    corrupt "bad %s length %d" what n;
+  n
+
 let read_header ic =
   let m = really_input_string ic (String.length magic) in
   if m <> magic then corrupt "bad magic %S (not a .ptrace file)" m;
   let v = Char.code (input_char ic) in
   if v <> version then corrupt "unsupported .ptrace version %d (expected %d)" v version;
   let device = input_u ic in
-  let meta_len = input_u ic in
+  let meta_len = input_len ic "meta" in
   let meta = really_input_string ic meta_len in
-  let nbackends = input_u ic in
+  let nbackends = input_len ic "backend table" in
   let backends =
     List.init nbackends (fun _ ->
         let b_id = input_u ic in
         let b_device = input_u ic in
-        let label_len = input_u ic in
+        let label_len = input_len ic "backend label" in
         let b_label = really_input_string ic label_len in
         { b_id; b_device; b_label })
   in
@@ -1277,6 +1280,9 @@ let read_file_ext ?(mode = Strict) ?pool path ~f =
             match
               let declared_ops = input_u ic in
               let crc_bytes = really_input_string ic 4 in
+              (* a length past the end of the file is a truncated tail *)
+              if payload_len < 0 || payload_len > in_channel_length ic - pos_in ic
+              then raise End_of_file;
               let payload = really_input_string ic payload_len in
               (declared_ops, crc_bytes, payload)
             with

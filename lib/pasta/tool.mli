@@ -10,7 +10,8 @@
     - [Gpu_accelerated] — device-resident aggregation; the tool receives
       per-kernel object access summaries via [on_mem_summary];
     - [Cpu_sanitizer] / [Cpu_nvbit] — host-side trace analysis; the tool
-      receives individual records via [on_access]. *)
+      receives record batches via [on_access_columns], or individual
+      records via [on_access]. *)
 
 type fine_grained =
   | No_fine_grained
@@ -39,20 +40,18 @@ type t = {
   on_device_summary : Event.kernel_info -> Devagg.summary -> unit;
       (** per-kernel merged parallel reduction ([Gpu_parallel] mode) *)
   on_access : Event.kernel_info -> Event.mem_access -> unit;
-      (** per-record host analysis (sampled, weighted) *)
+      (** per-record host analysis (sampled, weighted); used only when the
+          tool sets neither batch hook — the processor then walks each
+          batch and calls this once per record, after a [Global_access]
+          [on_event] *)
   on_access_batch : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
-      (** when set, fine-grained records are delivered as packed flat-array
-          batches instead of per-record [on_access] calls; [None] (the
-          default) keeps the per-record loop.  Deprecated in favour of
-          [on_access_columns]: this path re-wraps every batch in an
-          {!Event.t} per dispatch (the processor counts such deliveries
-          under [pasta_deprecated_batch_tools]) *)
+      (** alias of [on_access_columns], read only when that field is
+          [None]; delivered the same way *)
   on_access_columns : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
-      (** when set (and [ACCEL_PROF_COLUMNAR] is not disabled), batches are
-          delivered zero-copy with no per-dispatch event allocation; the
-          tool reads the Bigarray columns directly.  Columns are shared,
-          not copied — treat them as read-only.  Takes precedence over
-          [on_access_batch] *)
+      (** when set, fine-grained records are delivered as packed batches,
+          zero-copy: the tool reads the Bigarray columns directly and no
+          per-record callback or event is made.  Columns are shared, not
+          copied — treat them as read-only *)
   on_kernel_profile : Event.kernel_info -> Gpusim.Kernel.profile -> unit;
       (** per-kernel microarchitectural aggregates (divergence, barrier
           stalls, bank conflicts, value ranges), instruction-level mode *)

@@ -167,19 +167,11 @@ let tool t =
             feed_own_objmap t ev;
             track_usage t ev);
         on_access = (fun _info access -> touch access.Pasta.Event.addr);
-        (* The sanitizer path can hand records over as packed batches;
-           working sets only need the addresses, so consume them in place
-           instead of paying a per-record callback each. *)
-        on_access_batch =
-          (if t.var = Cpu_sanitizer then
-             Some
-               (fun _info batch ->
-                 Gpusim.Warp.iter_batch batch ~f:(fun a ->
-                     touch a.Gpusim.Warp.addr))
-           else None);
         on_access_columns =
-          (* Columnar delivery: read the address column straight off the
-             batch — no per-record boxing at all. *)
+          (* The sanitizer variant reads the address column straight off
+             each batch — working sets only need the addresses, so no
+             per-record callback or boxing at all.  The NVBit variant keeps
+             its per-record trampoline analysis. *)
           (if t.var = Cpu_sanitizer then
              Some
                (fun _info batch ->

@@ -107,6 +107,24 @@ let hotness () =
   let t = Pasta_tools.Hotness.create () in
   fst (run_tool (Pasta_tools.Hotness.tool_fine t))
 
+(* The NVBit host-analysis path: every sampled record crosses the channel
+   buffer and reaches the tool on the host, so the report and the health
+   block's buffer accounting lock the device-to-tool record stream.  The
+   health block names the domain-pool size, so the pool is pinned to one
+   domain (the default follows the machine's core count). *)
+let memory_charact_nvbit () =
+  Pasta.Config.set "ACCEL_PROF_DOMAINS" "1";
+  Fun.protect
+    ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_DOMAINS")
+    (fun () ->
+      let t =
+        Pasta_tools.Memory_charact.create
+          ~variant:Pasta_tools.Memory_charact.Cpu_nvbit ()
+      in
+      let report, result = run_tool (Pasta_tools.Memory_charact.tool t) in
+      report
+      ^ Format.asprintf "%a" Pasta.Session.pp_health result.Pasta.Session.health)
+
 let op_summary () =
   let t = Pasta_tools.Op_summary.create () in
   fst (run_tool (Pasta_tools.Op_summary.tool t))
@@ -262,6 +280,7 @@ let () =
   snapshot "kernel_freq" kernel_freq;
   snapshot "hotness" hotness;
   snapshot "op_summary" op_summary;
+  snapshot "memory_charact_nvbit" memory_charact_nvbit;
   snapshot "region_latency" region_latency;
   snapshot "region_roofline" region_roofline;
   snapshot "overhead_report" overhead_report;

@@ -204,10 +204,6 @@ let payload_gens : (string * Pasta.Event.payload QCheck.Gen.t) list =
       QCheck.Gen.map2
         (fun kernel access -> Global_access { kernel; access })
         g_info g_access );
-    ( "access_batch",
-      QCheck.Gen.map2
-        (fun kernel batch -> Access_batch { kernel; batch })
-        g_info g_batch );
     ( "device_summary",
       QCheck.Gen.map2
         (fun kernel summary -> Device_summary { kernel; summary })
@@ -280,7 +276,7 @@ let test_roundtrip_each_constructor () =
           (Pasta.Ptrace.payload_of_string (Pasta.Ptrace.payload_to_string p) = p)
       done)
     payload_gens;
-  check_int "every payload constructor has a generator" 21
+  check_int "every payload constructor has a generator" 20
     (List.length payload_gens)
 
 (* ------------------------------------------------------------------ *)
@@ -380,6 +376,178 @@ let test_bad_payload_string () =
   match Pasta.Ptrace.payload_of_string "\xff\xff\xff" with
   | exception Pasta.Ptrace.Corrupt _ -> ()
   | _ -> Alcotest.fail "garbage must not decode"
+
+(* ------------------------------------------------------------------ *)
+(* Byte-mutation fuzzing: the decoder's only failure is [Corrupt]      *)
+(* ------------------------------------------------------------------ *)
+
+let put_varint buf n =
+  let n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char buf (Char.chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !n)
+
+let get_varint s pos =
+  let rec go pos acc shift =
+    let b = Char.code s.[pos] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) acc (shift + 7)
+  in
+  go pos 0 0
+
+(* Varints that are most likely to slip past a length check: zero, huge,
+   and 9-byte encodings reaching bit 62 — negative once decoded. *)
+let hostile_varints =
+  [ "\x00"; "\xff\xff\xff\xff\x0f"; "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+    "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"; "\x81\x80\x80\x80\x80\x80\x80\x80\x40" ]
+
+(* One to three edits: overwrite a byte, splice a hostile varint over
+   a byte, or truncate. *)
+let mutate rand s =
+  let s = ref s in
+  for _ = 1 to 1 + Random.State.int rand 3 do
+    let n = String.length !s in
+    if n > 0 then begin
+      let pos = Random.State.int rand n in
+      let splice v = String.sub !s 0 pos ^ v ^ String.sub !s (pos + 1) (n - pos - 1) in
+      s :=
+        match Random.State.int rand 3 with
+        | 0 -> splice (String.make 1 (Char.chr (Random.State.int rand 256)))
+        | 1 ->
+            splice
+              (List.nth hostile_varints
+                 (Random.State.int rand (List.length hostile_varints)))
+        | _ -> String.sub !s 0 pos
+    end
+  done;
+  !s
+
+(* A string length of min_int: [c_pos + len <= c_limit] holds for it, so
+   a bounds check of that form lets it reach [String.sub]. *)
+let test_negative_string_length () =
+  let p = Pasta.Event.Driver_call { name = "cuLaunchKernel"; phase = `Enter } in
+  let enc = Pasta.Ptrace.payload_to_string p in
+  (* tag 0, then the name's length varint at offset 1 *)
+  let bad =
+    "\x00" ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+    ^ String.sub enc 2 (String.length enc - 2)
+  in
+  match Pasta.Ptrace.payload_of_string bad with
+  | exception Pasta.Ptrace.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a negative string length must be Corrupt"
+
+let test_fuzz_payloads () =
+  let rand = Random.State.make [| 0x5eed |] in
+  let gens = Array.of_list (List.map snd payload_gens) in
+  for i = 1 to 20_000 do
+    let p = QCheck.Gen.generate1 ~rand gens.(i mod Array.length gens) in
+    let m = mutate rand (Pasta.Ptrace.payload_to_string p) in
+    match Pasta.Ptrace.payload_of_string m with
+    | _ | (exception Pasta.Ptrace.Corrupt _) -> ()
+    | exception e ->
+        Alcotest.failf "payload %S raised %s" m (Printexc.to_string e)
+  done
+
+(* Ops of every submission kind, for the chunk-level fuzzer. *)
+let g_op =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.map (fun p -> Pasta.Processor.Sk_event p)
+        (QCheck.Gen.oneof (List.map snd payload_gens));
+      QCheck.Gen.map2 (fun k b -> Pasta.Processor.Sk_batch (k, b)) g_info g_batch;
+      QCheck.Gen.map2
+        (fun k (base, extent) ->
+          Pasta.Processor.Sk_region
+            (k, { Pasta.Event.base; extent; accesses = extent; written = false }))
+        g_info (QCheck.Gen.pair g_addr g_nat);
+      QCheck.Gen.map (fun k -> Pasta.Processor.Sk_flush_summary k) g_info;
+      QCheck.Gen.map (fun k -> Pasta.Processor.Sk_flush_parallel k) g_info;
+      QCheck.Gen.map2 (fun k p -> Pasta.Processor.Sk_profile (k, p)) g_info g_profile;
+      QCheck.Gen.map
+        (fun g -> Pasta.Processor.Sk_rate { sr_rate = 0.5; sr_grid_id = g })
+        g_nat;
+    ]
+
+let read_all path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_all path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* Split a solo trace (empty backend table) into its header bytes and
+   its (declared op count, payload) chunks. *)
+let split_trace s =
+  let _device, pos = get_varint s 5 in
+  let meta_len, pos = get_varint s pos in
+  let _nbackends, pos = get_varint s (pos + meta_len) in
+  let header = String.sub s 0 pos in
+  let rec chunks pos acc =
+    if pos >= String.length s then List.rev acc
+    else
+      let len, pos = get_varint s pos in
+      let ops, pos = get_varint s pos in
+      chunks (pos + 4 + len) ((ops, String.sub s (pos + 4) len) :: acc)
+  in
+  (header, chunks pos [])
+
+let join_trace header chunks =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf header;
+  List.iter
+    (fun (ops, payload) ->
+      put_varint buf (String.length payload);
+      put_varint buf ops;
+      Buffer.add_int32_le buf (Int32.of_int (Pasta_util.Crc32.string payload));
+      Buffer.add_string buf payload)
+    chunks;
+  Buffer.contents buf
+
+(* Mutate one chunk's payload (the CRC recomputed, so the decoder behind
+   the check runs on the damage) or the header, and read the file back in
+   both modes.  Strict may raise only [Corrupt]; tolerant must skip a
+   damaged chunk without raising, and may reject only a damaged header. *)
+let test_fuzz_chunks () =
+  let rand = Random.State.make [| 0xc4c |] in
+  let path = temp_trace () in
+  let w = Pasta.Ptrace.create_writer ~chunk_bytes:256 ~meta:"fuzz" ~device:0 path in
+  for i = 1 to 120 do
+    Pasta.Ptrace.write_op w ~time_us:(float_of_int i) (QCheck.Gen.generate1 ~rand g_op)
+  done;
+  Pasta.Ptrace.close_writer w;
+  let header, chunks = split_trace (read_all path) in
+  let n = List.length chunks in
+  check_bool "several chunks to damage" true (n > 4);
+  let read mode =
+    Pasta.Ptrace.read_file ~mode path ~f:(fun ~time_us:_ _ -> ())
+  in
+  for i = 1 to 1_500 do
+    let damage_header = i mod 10 = 0 in
+    let header = if damage_header then mutate rand header else header in
+    let k = Random.State.int rand n in
+    let chunks =
+      if damage_header then chunks
+      else List.mapi (fun j (ops, p) -> if j = k then (ops, mutate rand p) else (ops, p)) chunks
+    in
+    let bytes = join_trace header chunks in
+    write_all path bytes;
+    (match read Pasta.Ptrace.Strict with
+    | _ | (exception Pasta.Ptrace.Corrupt _) -> ()
+    | exception e ->
+        Alcotest.failf "strict read of %S raised %s" bytes (Printexc.to_string e));
+    match read Pasta.Ptrace.Tolerant with
+    | _ -> ()
+    | exception Pasta.Ptrace.Corrupt _ when damage_header -> ()
+    | exception e ->
+        Alcotest.failf "tolerant read of %S raised %s" bytes (Printexc.to_string e)
+  done;
+  Sys.remove path
 
 (* ------------------------------------------------------------------ *)
 (* Live vs replay                                                      *)
@@ -588,6 +756,12 @@ let suite =
       test_truncated_file;
     Alcotest.test_case "truncated header" `Quick test_truncated_header;
     Alcotest.test_case "garbage payload string" `Quick test_bad_payload_string;
+    Alcotest.test_case "negative string length is Corrupt" `Quick
+      test_negative_string_length;
+    Alcotest.test_case "fuzz: mutated payloads raise only Corrupt" `Quick
+      test_fuzz_payloads;
+    Alcotest.test_case "fuzz: mutated chunks (CRC recomputed) raise only Corrupt"
+      `Quick test_fuzz_chunks;
     Alcotest.test_case "live vs replay: byte-identical report (1 domain)"
       `Quick (test_live_vs_replay 1);
     Alcotest.test_case "live vs replay: byte-identical report (4 domains)"

@@ -1,12 +1,17 @@
-(* The zero-copy columnar hot path vs the legacy per-record pipeline:
-   whatever delivery tier the processor picks — Bigarray columns in
-   place, the deprecated event-wrapped batch callback, or per-record
-   unpacking — tool reports must be byte-identical at every domain
-   count, with faults injected and sampling engaged, and a trace
-   captured from the columnar path must replay to the exact live
-   bytes. *)
+(* The one fine-grained delivery contract: records reach the processor as
+   packed batches, device-side aggregation shards them per domain and
+   merges once per kernel, and a tool reads the batches either through
+   its columns hook or through the per-record adapter.  Three checks pin
+   it down:
 
-let check_int = Alcotest.(check int)
+   - the processor's merged per-kernel summary equals the reference
+     reduction [Devagg.merge (Array.map (Devagg.aggregate view) batches)]
+     at every domain count, with faults injected and sampling engaged;
+   - a columns-hook tool prints the same report with its hook stripped,
+     so the per-record adapter runs instead;
+   - a trace captured from the batch layout replays to the exact live
+     bytes. *)
+
 let check_bool = Alcotest.(check bool)
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -16,16 +21,12 @@ let bert_inference ctx () =
   let m = Dlfw.Bert.build ~batch:1 ~seq:64 ~layers:2 ~dim:64 ~heads:4 ctx in
   Dlfw.Model.inference_iter ctx m
 
-(* One live BERT run; [columnar:false] forces the legacy path through the
-   same [ACCEL_PROF_COLUMNAR=0] override a user would set.  The overrides
-   are cleared even if the run throws, so a failing case cannot poison
-   the suite that runs after it. *)
-let live_run ?rate ?capture ?fault_seed ~columnar ~domains ~tool () =
+(* One live BERT run at the given domain count.  The override is cleared
+   even if the run throws, so a failing case cannot poison the suite that
+   runs after it. *)
+let live_run ?rate ?capture ?fault_seed ~domains ~tool () =
   Pasta.Config.set "ACCEL_PROF_DOMAINS" (string_of_int domains);
-  if not columnar then Pasta.Config.set "ACCEL_PROF_COLUMNAR" "0";
-  Fun.protect ~finally:(fun () ->
-      Pasta.Config.unset "ACCEL_PROF_DOMAINS";
-      Pasta.Config.unset "ACCEL_PROF_COLUMNAR")
+  Fun.protect ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_DOMAINS")
   @@ fun () ->
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
@@ -39,26 +40,69 @@ let live_run ?rate ?capture ?fault_seed ~columnar ~domains ~tool () =
   Dlfw.Ctx.destroy ctx;
   (Format.asprintf "%t" result.Pasta.Session.report, result)
 
-let hotness_run ?rate ?capture ?fault_seed ~columnar ~domains () =
-  let hot = Pasta_tools.Hotness.create () in
-  live_run ?rate ?capture ?fault_seed ~columnar ~domains
-    ~tool:(Pasta_tools.Hotness.tool_fine hot)
-    ()
-
-let sanitizer_run ?rate ?fault_seed ~columnar ~domains () =
-  let mc = Pasta_tools.Memory_charact.create ~variant:Cpu_sanitizer () in
-  live_run ?rate ?fault_seed ~columnar ~domains
-    ~tool:(Pasta_tools.Memory_charact.tool mc)
-    ()
+let temp_trace () = Filename.temp_file "pasta_columnar" ".ptrace"
 
 (* ------------------------------------------------------------------ *)
-(* Columnar vs legacy: byte-identity under faults + sampling           *)
+(* Parallel summary = the reference reduction                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The headline property: for a random sub-1.0 sampling rate and fault
-   seed, the columnar and legacy pipelines produce digest-identical
-   reports at 1, 2, 4 and 8 domains — eight runs, one digest. *)
-let prop_columnar_equals_legacy =
+(* Re-derive every kernel's summary from a captured trace: collect the
+   kernel's batches, and at its flush marker reduce them shard by shard
+   with [Devagg.aggregate] against the object map as it stood then, and
+   merge.  The object map is rebuilt by feeding the recorded events to a
+   tool-less processor. *)
+let reference_summaries path =
+  let proc =
+    Pasta.Processor.create ~range:(Pasta.Range.create ()) ~device:0 ()
+  in
+  let pending = ref [] and rate = ref 1.0 and out = ref [] in
+  let (_ : Pasta.Ptrace.header * Pasta.Ptrace.read_stats) =
+    Pasta.Ptrace.read_file path ~f:(fun ~time_us op ->
+        match op with
+        | Pasta.Processor.Sk_batch (k, b) -> pending := (k, b) :: !pending
+        | Pasta.Processor.Sk_flush_parallel k ->
+            let mine, others =
+              List.partition
+                (fun ((i : Pasta.Event.kernel_info), _) ->
+                  i.Pasta.Event.grid_id = k.Pasta.Event.grid_id)
+                (List.rev !pending)
+            in
+            pending := List.rev others;
+            if mine <> [] then begin
+              let view = Pasta.Objmap.view (Pasta.Processor.objmap proc) in
+              let batches = Array.of_list (List.map snd mine) in
+              out :=
+                Pasta.Devagg.merge ~est_rate:!rate
+                  (Array.map (Pasta.Devagg.aggregate view) batches)
+                :: !out
+            end
+        | Pasta.Processor.Sk_rate { sr_rate; _ } -> rate := sr_rate
+        | Pasta.Processor.Sk_event (Pasta.Event.Device_summary _) -> ()
+        | Pasta.Processor.Sk_event p -> Pasta.Processor.submit proc ~time_us p
+        | _ -> ())
+  in
+  List.rev !out
+
+let summaries_run ~rate ~fault_seed ~domains =
+  let got = ref [] in
+  let tool =
+    {
+      (Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_parallel "summaries")
+      with
+      Pasta.Tool.on_device_summary = (fun _ s -> got := s :: !got);
+    }
+  in
+  let path = temp_trace () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let (_ : string * Pasta.Session.result) =
+    live_run ~rate ~fault_seed ~capture:path ~domains ~tool ()
+  in
+  (List.rev !got, reference_summaries path)
+
+(* For a random sub-1.0 sampling rate and fault seed, at 1, 2, 4 and 8
+   domains, every summary the processor hands the tool is the reference
+   reduction of that kernel's batches, and all four runs agree. *)
+let prop_parallel_summary_is_reference =
   let gen =
     let* rate = QCheck.Gen.oneofl [ 0.75; 0.5; 0.25 ] in
     let* seed = QCheck.Gen.int_range 1 1_000_000 in
@@ -66,78 +110,64 @@ let prop_columnar_equals_legacy =
   in
   QCheck.Test.make
     ~name:
-      "columnar = legacy: digests identical at 1/2/4/8 domains (faults + \
-       sampling)"
+      "parallel summary = Devagg.merge of per-batch aggregates at 1/2/4/8 \
+       domains (faults + sampling)"
     ~count:3
     (QCheck.make gen ~print:(fun (rate, seed) ->
          Printf.sprintf "rate=%g fault_seed=%d" rate seed))
     (fun (rate, seed) ->
       let fault_seed = Int64.of_int seed in
-      let digests =
-        List.concat_map
-          (fun domains ->
-            List.map
-              (fun columnar ->
-                let report, _ =
-                  hotness_run ~rate ~fault_seed ~columnar ~domains ()
-                in
-                Digest.string report)
-              [ true; false ])
+      let runs =
+        List.map
+          (fun domains -> summaries_run ~rate ~fault_seed ~domains)
           [ 1; 2; 4; 8 ]
       in
-      match digests with
+      match runs with
       | [] -> false
-      | d0 :: rest -> List.for_all (String.equal d0) rest)
+      | (first, _) :: _ ->
+          first <> []
+          && List.for_all (fun (live, reference) -> live = reference && live = first) runs)
 
-(* The same contract on the tool-side columns consumer: Cpu_sanitizer
-   memory characterization reads the address column in place when
-   columnar and falls back to the event-wrapped batch otherwise. *)
-let test_sanitizer_columnar_equals_legacy () =
-  let base, _ = sanitizer_run ~columnar:true ~domains:4 () in
+(* ------------------------------------------------------------------ *)
+(* Columns hook vs the per-record adapter                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Cpu_sanitizer memory characterization reads the address column in
+   place; with the hook stripped the processor walks each batch and calls
+   [on_access] per record.  Same report either way, at any domain count
+   and under faults. *)
+let test_columns_hook_equals_adapter () =
+  let run ~hook ~domains ?fault_seed () =
+    let mc = Pasta_tools.Memory_charact.create ~variant:Cpu_sanitizer () in
+    let tool = Pasta_tools.Memory_charact.tool mc in
+    let tool =
+      if hook then tool
+      else { tool with Pasta.Tool.on_access_columns = None; on_access_batch = None }
+    in
+    live_run ?fault_seed ~domains ~tool ()
+  in
   List.iter
-    (fun (columnar, domains) ->
-      let r, _ = sanitizer_run ~columnar ~domains () in
-      check_bool
-        (Printf.sprintf "sanitizer report identical (columnar=%b, %d domains)"
-           columnar domains)
-        true (String.equal base r))
-    [ (false, 4); (true, 1); (false, 1); (true, 8) ]
+    (fun (domains, fault_seed) ->
+      let hooked, rh = run ~hook:true ~domains ?fault_seed () in
+      let adapted, ra = run ~hook:false ~domains ?fault_seed () in
+      let label = Printf.sprintf "%d domains, faults %b" domains (fault_seed <> None) in
+      check_bool ("report identical, " ^ label) true (String.equal hooked adapted);
+      check_bool ("hook received batches, " ^ label) true
+        (rh.Pasta.Session.health.Pasta.Session.batches_delivered > 0);
+      check_bool ("adapter delivered no batches, " ^ label) true
+        (ra.Pasta.Session.health.Pasta.Session.batches_delivered = 0))
+    [ (1, None); (4, None); (2, Some 24285L) ]
 
 (* ------------------------------------------------------------------ *)
-(* Delivery-tier accounting: the deprecation counter                   *)
+(* Capture -> replay round-trip on the batch layout                    *)
 (* ------------------------------------------------------------------ *)
-
-let deprecated_count metrics =
-  List.fold_left
-    (fun acc (name, _labels, v) ->
-      if name = "pasta_deprecated_batch_tools" then acc + v else acc)
-    0
-    (Pasta_util.Metric.counter_samples metrics)
-
-let test_deprecation_counter () =
-  (* Columns-aware tool on the columnar path: nothing deprecated runs. *)
-  let _, r = sanitizer_run ~columnar:true ~domains:2 () in
-  check_int "columnar delivery leaves the deprecation counter at zero" 0
-    (deprecated_count r.Pasta.Session.metrics);
-  (* Forcing the legacy path sends the same tool through the deprecated
-     event-wrapped batch callback — noted exactly once, not per batch. *)
-  let _, r = sanitizer_run ~columnar:false ~domains:2 () in
-  check_int "legacy batch delivery is counted once per processor" 1
-    (deprecated_count r.Pasta.Session.metrics);
-  check_bool "legacy run still delivered batches" true
-    (r.Pasta.Session.health.Pasta.Session.batches_delivered > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Capture -> replay round-trip on the columnar layout                 *)
-(* ------------------------------------------------------------------ *)
-
-let temp_trace () = Filename.temp_file "pasta_columnar" ".ptrace"
 
 let test_columnar_capture_replay () =
   let path = temp_trace () in
+  let hot = Pasta_tools.Hotness.create () in
   let live, result =
-    hotness_run ~rate:0.5 ~fault_seed:24285L ~columnar:true ~domains:4
-      ~capture:path ()
+    live_run ~rate:0.5 ~fault_seed:24285L ~domains:4 ~capture:path
+      ~tool:(Pasta_tools.Hotness.tool_fine hot) ()
   in
   check_bool "capture recorded ops" true
     (result.Pasta.Session.health.Pasta.Session.events_recorded > 0);
@@ -155,17 +185,14 @@ let test_columnar_capture_replay () =
       path
   in
   let replayed = Format.asprintf "%t" o.Pasta.Replay.report in
-  check_bool "columnar live vs replay byte-identical" true
-    (String.equal live replayed);
+  check_bool "live vs replay byte-identical" true (String.equal live replayed);
   Sys.remove path
 
 let suite =
   [
-    qtest prop_columnar_equals_legacy;
-    Alcotest.test_case "sanitizer columns consumer = legacy" `Quick
-      test_sanitizer_columnar_equals_legacy;
-    Alcotest.test_case "deprecated batch tools counted once" `Quick
-      test_deprecation_counter;
+    qtest prop_parallel_summary_is_reference;
+    Alcotest.test_case "columns hook = per-record adapter" `Quick
+      test_columns_hook_equals_adapter;
     Alcotest.test_case "columnar capture replays byte-identical" `Quick
       test_columnar_capture_replay;
   ]

@@ -24,8 +24,11 @@ let mk_kernel_info ?(grid_id = 1) ?(name = "k") () =
     native_stack = [];
   }
 
-let mk_access addr =
-  { Pasta.Event.addr; size = 4; write = false; pc = 0; warp = 0; weight = 1 }
+(* A one-record batch: the smallest unit the processor ingests, so the
+   bounded buffer holds exactly one record per item. *)
+let mk_batch addr =
+  Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| addr |]
+    ~sizes:[| 4 |] ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000')
 
 (* ---- Circuit breaker: a raising tool never aborts the workload ---- *)
 
@@ -139,7 +142,7 @@ let overflow_run policy =
     };
   let ki = mk_kernel_info () in
   for i = 1 to 10 do
-    Pasta.Processor.submit_access p ~time_us:0.0 ki (mk_access i)
+    Pasta.Processor.submit_access_batch p ~time_us:0.0 ki (mk_batch i)
   done;
   Pasta.Processor.flush_records p;
   let stats = Pasta.Processor.stats p in

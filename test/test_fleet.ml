@@ -209,49 +209,110 @@ let test_concurrent_trip_once () =
   check_string "breaker is quarantined" "quarantined"
     (Pasta.Guard.state_name (Pasta.Guard.state g))
 
+(* A persistent team of worker domains for the race model.  Spawning and
+   joining a few domains per case, thousands of times over, aborts the
+   OCaml 5.1 runtime now and then ("allocation failure during minor GC"),
+   so the team is spawned once and each case is one round: every member
+   is woken together, members below [active] run [job] with their index,
+   and the round ends when all have reported back.  The members stay
+   parked between rounds and die with the process. *)
+type team = {
+  t_mu : Mutex.t;
+  t_cv : Condition.t;
+  mutable t_round : int;
+  mutable t_job : int -> unit;
+  mutable t_active : int;
+  mutable t_done : int;
+}
+
+let team_size = 4
+
+let team =
+  lazy
+    (let t =
+       {
+         t_mu = Mutex.create ();
+         t_cv = Condition.create ();
+         t_round = 0;
+         t_job = ignore;
+         t_active = 0;
+         t_done = 0;
+       }
+     in
+     for w = 0 to team_size - 1 do
+       ignore
+         (Domain.spawn (fun () ->
+              let seen = ref 0 in
+              while true do
+                Mutex.lock t.t_mu;
+                while t.t_round = !seen do
+                  Condition.wait t.t_cv t.t_mu
+                done;
+                seen := t.t_round;
+                let job = t.t_job and active = t.t_active in
+                Mutex.unlock t.t_mu;
+                if w < active then job w;
+                Mutex.lock t.t_mu;
+                t.t_done <- t.t_done + 1;
+                Condition.broadcast t.t_cv;
+                Mutex.unlock t.t_mu
+              done)
+           : unit Domain.t)
+     done;
+     t)
+
+let team_round ~active job =
+  let t = Lazy.force team in
+  Mutex.lock t.t_mu;
+  t.t_job <- job;
+  t.t_active <- active;
+  t.t_done <- 0;
+  t.t_round <- t.t_round + 1;
+  Condition.broadcast t.t_cv;
+  while t.t_done < team_size do
+    Condition.wait t.t_cv t.t_mu
+  done;
+  Mutex.unlock t.t_mu
+
 (* Random race model: [domains] workers each replay a script of
    succeed/fail calls interleaved with cooldown ticks against one guard
    with an aggressive (1-kernel) cooldown, so quarantine, half-open
    probing and reinstatement all race.  Whatever the interleaving, the
    breaker must stay internally consistent: every call either ran or was
    suppressed, failure/trip/reinstate counters relate sanely, and no
-   exception escapes. *)
+   exception escapes.  In particular one quarantine never yields two
+   reinstatements: at most one half-open probe is in flight, even while
+   concurrent cooldown ticks age the quarantine. *)
 let guard_race_model =
-  QCheck.Test.make ~count:60 ~name:"guard: concurrent race invariants"
+  QCheck.Test.make ~count:3000 ~name:"guard: concurrent race invariants"
     QCheck.(
       pair (int_range 2 4) (small_list (small_list bool)))
     (fun (domains, scripts) ->
       let scripts =
-        List.init domains (fun i ->
+        Array.init domains (fun i ->
             match List.nth_opt scripts i with Some s -> s | None -> [ true; false ])
       in
       let executed = Atomic.make 0 in
       let failures_attempted =
-        List.fold_left
+        Array.fold_left
           (fun acc s -> acc + List.length (List.filter Fun.id s))
           0 scripts
       in
-      let total_calls = List.fold_left (fun acc s -> acc + List.length s) 0 scripts in
+      let total_calls = Array.fold_left (fun acc s -> acc + List.length s) 0 scripts in
       let trips = Atomic.make 0 in
       let g =
         Pasta.Guard.create ~threshold:2 ~cooldown_kernels:1
           ~on_trip:(fun ~failures:_ -> Atomic.incr trips)
           (Pasta.Tool.default "race-model")
       in
-      let doms =
-        List.map
-          (fun script ->
-            Domain.spawn (fun () ->
-                List.iter
-                  (fun fail ->
-                    Pasta.Guard.note_kernel g;
-                    Pasta.Guard.call g Pasta.Guard.On_event (fun _ ->
-                        Atomic.incr executed;
-                        if fail then failwith "boom"))
-                  script))
-          scripts
-      in
-      List.iter Domain.join doms;
+      team_round ~active:domains (fun w ->
+          List.iter
+            (fun fail ->
+              Pasta.Guard.note_kernel g;
+              Pasta.Guard.call g Pasta.Guard.On_event (fun _ ->
+                  Atomic.incr executed;
+                  if fail then failwith "boom"))
+            scripts.(w));
       let failures = Pasta.Guard.total_failures g in
       let quarantines = Pasta.Guard.quarantine_count g in
       let reinstated = Pasta.Guard.reinstated_count g in

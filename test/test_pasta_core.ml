@@ -259,9 +259,12 @@ let test_processor_access_dispatch () =
   let accesses = ref 0 in
   Pasta.Processor.set_tool p
     { (Pasta.Tool.default "t") with Pasta.Tool.on_access = (fun _ _ -> incr accesses) };
-  let access = { Pasta.Event.addr = 0; size = 4; write = false; pc = 0; warp = 0; weight = 1 } in
+  let batch =
+    Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| 0 |] ~sizes:[| 4 |]
+      ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000')
+  in
   (* Records sit in the bounded buffer until a kernel-end or explicit flush. *)
-  Pasta.Processor.submit_access p ~time_us:0.0 (mk_kernel_info ()) access;
+  Pasta.Processor.submit_access_batch p ~time_us:0.0 (mk_kernel_info ()) batch;
   check_int "record buffered, not yet dispatched" 0 !accesses;
   Pasta.Processor.flush_records p;
   check_int "access dispatched on flush" 1 !accesses;

@@ -141,15 +141,14 @@ let test_determinism_under_faults () =
     (List.map (fun d -> (d, fine_run ~fault_seed:24285L d)) [ 1; 2; 8 ])
 
 (* ------------------------------------------------------------------ *)
-(* Batched delivery vs the legacy per-record path                      *)
+(* Batch hook vs the per-record adapter                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A Cpu_sanitizer probe in three shapes: the legacy per-record path, the
-   batched path with a per-record-only tool (the processor must unpack
-   batches into the identical record stream), and the batched path with a
-   batch-aware tool (records arrive packed, accounting must still match). *)
-let sanitizer_count ?range ?(batch_aware = false) ~batch_delivery () =
-  Pasta.Config.set "ACCEL_PROF_BATCH_DELIVERY" (if batch_delivery then "1" else "0");
+(* A Cpu_sanitizer probe in two shapes: a per-record-only tool (the
+   processor must unpack batches into the record stream) and a batch-aware
+   tool (records arrive packed, accounting must match record for
+   record). *)
+let sanitizer_count ?range ?(batch_aware = false) () =
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let records = ref 0 and weight = ref 0 and addr_sum = ref 0 in
@@ -182,25 +181,19 @@ let sanitizer_count ?range ?(batch_aware = false) ~batch_delivery () =
     Pasta.Session.run ?range ~sample_cap:64 ~tool device (bert_inference ctx)
   in
   Dlfw.Ctx.destroy ctx;
-  Pasta.Config.unset "ACCEL_PROF_BATCH_DELIVERY";
   (!records, !weight, !addr_sum, result.Pasta.Session.health)
 
 let test_batch_vs_per_record_equivalence () =
-  let r0, w0, s0, h0 = sanitizer_count ~batch_delivery:false () in
-  let r1, w1, s1, h1 = sanitizer_count ~batch_delivery:true () in
-  let r2, w2, s2, h2 = sanitizer_count ~batch_aware:true ~batch_delivery:true () in
-  check_bool "records flowed" true (r0 > 0);
-  check_int "unpacked batches = legacy record count" r0 r1;
-  check_int "unpacked batches = legacy weight sum" w0 w1;
-  check_int "unpacked batches = legacy address checksum" s0 s1;
-  check_int "packed batches = legacy record count" r0 r2;
-  check_int "packed batches = legacy weight sum" w0 w2;
-  check_int "packed batches = legacy address checksum" s0 s2;
+  let r1, w1, s1, h1 = sanitizer_count () in
+  let r2, w2, s2, h2 = sanitizer_count ~batch_aware:true () in
+  check_bool "records flowed" true (r1 > 0);
+  check_int "packed batches = unpacked record count" r1 r2;
+  check_int "packed batches = unpacked weight sum" w1 w2;
+  check_int "packed batches = unpacked address checksum" s1 s2;
   check_bool "batch-aware tool sees packed batches" true
     (h2.Pasta.Session.batches_delivered > 0);
   (* [batches_delivered] counts batch-aware deliveries only. *)
-  check_int "per-record tools count none" 0 h1.Pasta.Session.batches_delivered;
-  check_int "legacy path counts none" 0 h0.Pasta.Session.batches_delivered
+  check_int "per-record tools count none" 0 h1.Pasta.Session.batches_delivered
 
 (* ------------------------------------------------------------------ *)
 (* Merged summary invariants                                           *)
@@ -247,9 +240,9 @@ let test_summary_weight_sums () =
 (* ------------------------------------------------------------------ *)
 
 let test_filtered_accounting () =
-  let all, _, _, h_all = sanitizer_count ~batch_delivery:true () in
+  let all, _, _, h_all = sanitizer_count () in
   let part, _, _, h =
-    sanitizer_count ~range:(Pasta.Range.create ~start_grid:8 ()) ~batch_delivery:true ()
+    sanitizer_count ~range:(Pasta.Range.create ~start_grid:8 ()) ()
   in
   check_int "unfiltered run filters nothing" 0 h_all.Pasta.Session.accesses_filtered;
   check_int "lossless policy: no drops" 0 h.Pasta.Session.records_dropped;

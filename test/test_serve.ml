@@ -293,6 +293,14 @@ let test_submit_validation () =
     (spec ~tool:"kernel_freq" ~knobs:[ ("ACCEL_PROF_TELEMETRY", "full") ] ());
   expect_error "unknown gpu"
     { (spec ~tool:"kernel_freq" ()) with Proto.gpu = "warp9" };
+  (* A retired knob is no longer session-scoped: the rejection names it. *)
+  let retired = "ACCEL_PROF_COLUMNAR" in
+  (match Serve.submit t (spec ~tool:"kernel_freq" ~knobs:[ (retired, "0") ] ()) with
+  | Error msg ->
+      Alcotest.(check bool)
+        "rejection names the knob" true
+        (Astring_contains.contains msg retired)
+  | Ok _ -> Alcotest.failf "a job setting %s should be rejected" retired);
   Serve.shutdown t
 
 (* --- socket endpoint ---------------------------------------------------- *)

@@ -82,8 +82,7 @@ let test_sanitizer_host_analysis () =
     (Vendor.Sanitizer.Host_analysis
        {
          buffer_records = 1000;
-         on_record = (fun _ a -> weight := !weight + a.Warp.weight);
-         on_batch = None;
+         on_batch = (fun _ b -> weight := !weight + Warp.batch_weight b);
          per_record_us = 0.1;
        });
   let k = mk_kernel d ~bytes:8192 ~accesses:12345 in
@@ -107,13 +106,12 @@ let test_sanitizer_buffer_stall () =
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records;
-           on_record =
+           on_batch =
              (fun info _ ->
                if info.Device.grid_id <> !last then begin
                  incr flushed_batches;
                  last := info.Device.grid_id
                end);
-           on_batch = None;
            per_record_us = 0.1;
          });
     let k = mk_kernel d ~bytes:65536 ~accesses:100000 in
@@ -131,7 +129,7 @@ let test_sanitizer_invalid_buffer () =
     (fun () ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Host_analysis
-           { buffer_records = 0; on_record = (fun _ _ -> ()); on_batch = None; per_record_us = 0.1 }))
+           { buffer_records = 0; on_batch = (fun _ _ -> ()); per_record_us = 0.1 }))
 
 (* ---- NVBit ---- *)
 
@@ -153,7 +151,7 @@ let test_nvbit_instrument () =
   let nv = Vendor.Nvbit.attach d in
   let weight = ref 0 in
   Vendor.Nvbit.instrument_memory nv
-    ~on_record:(fun _ a -> weight := !weight + a.Warp.weight)
+    ~on_batch:(fun _ b -> weight := !weight + Warp.batch_weight b)
     ();
   let k = mk_kernel d ~bytes:8192 ~accesses:777 in
   ignore (Device.launch d k);
@@ -161,6 +159,51 @@ let test_nvbit_instrument () =
   check_int "kernel parsed on first launch" 1 (Vendor.Nvbit.functions_parsed nv);
   ignore (Device.launch d k);
   check_int "second launch reuses parse" 1 (Vendor.Nvbit.functions_parsed nv)
+
+(* The channel buffer fills record by record, so a flush can fall inside a
+   device batch.  Every flush must hand over exactly the records a
+   per-record fill would have: replay the delivered weight stream through
+   the per-record rule (flush right after the record that makes the
+   pending weight reach the capacity) and compare flush by flush.  Each
+   flush advances the device clock, so the delivery timestamp tells the
+   flushes apart. *)
+let test_nvbit_flush_splits_batches () =
+  let d = mk_device () in
+  Device.set_sample_cap d 3000;
+  let nv = Vendor.Nvbit.attach d in
+  let buffer_records = 5000 in
+  let flushes = ref [] in
+  Vendor.Nvbit.instrument_memory nv ~buffer_records
+    ~on_batch:(fun _ b ->
+      let now = Device.now_us d in
+      let weights = List.init (Warp.batch_len b) (fun i -> (Warp.batch_get b i).Warp.weight) in
+      match !flushes with
+      | (t, ws) :: rest when t = now -> flushes := (t, ws @ weights) :: rest
+      | l -> flushes := (now, weights) :: l)
+    ();
+  let k = mk_kernel d ~bytes:65536 ~accesses:100_003 in
+  ignore (Device.launch d k);
+  let observed = List.rev_map (fun (_, ws) -> List.length ws) !flushes in
+  let stream = List.concat_map snd (List.rev !flushes) in
+  let expected =
+    let groups = ref [] and n = ref 0 and pending = ref 0 in
+    List.iter
+      (fun w ->
+        incr n;
+        pending := !pending + w;
+        if !pending >= buffer_records then begin
+          groups := !n :: !groups;
+          n := 0;
+          pending := 0
+        end)
+      stream;
+    List.rev (if !n > 0 then !n :: !groups else !groups)
+  in
+  check_bool "several flushes" true (List.length observed > 2);
+  check_bool "a flush falls inside a batch" true
+    (List.exists (fun n -> n mod Warp.chunk_records <> 0) observed);
+  Alcotest.(check (list int)) "per-record flush points" expected observed;
+  check_int "weights cover all true records" 100_003 (List.fold_left ( + ) 0 stream)
 
 let test_nvbit_costlier_than_sanitizer () =
   (* Same workload, both CPU-analysis models: NVBit must cost more
@@ -180,15 +223,14 @@ let test_nvbit_costlier_than_sanitizer () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = Vendor.Sanitizer.default_buffer_records;
-               on_record = (fun _ _ -> ());
-               on_batch = None;
+               on_batch = (fun _ _ -> ());
                per_record_us = Costmodel.sanitizer_host_per_record_us;
              }))
   in
   let t_nvbit =
     run (fun d ->
         let nv = Vendor.Nvbit.attach d in
-        Vendor.Nvbit.instrument_memory nv ~on_record:(fun _ _ -> ()) ())
+        Vendor.Nvbit.instrument_memory nv ~on_batch:(fun _ _ -> ()) ())
   in
   check_bool "nvbit slower than sanitizer" true (t_nvbit > t_cs)
 
@@ -314,6 +356,7 @@ let suite =
     ("sanitizer invalid buffer", `Quick, test_sanitizer_invalid_buffer);
     ("nvbit parse cache", `Quick, test_nvbit_parse_cache);
     ("nvbit instrument", `Quick, test_nvbit_instrument);
+    ("nvbit flush splits batches", `Quick, test_nvbit_flush_splits_batches);
     ("nvbit costlier than sanitizer", `Quick, test_nvbit_costlier_than_sanitizer);
     ("nvbit opcode counts", `Quick, test_nvbit_opcode_counts);
     ("nvbit events", `Quick, test_nvbit_events);
