@@ -21,6 +21,16 @@ open Cmdliner
    comes from the Pasta.Exit_code table. *)
 let degraded = ref false
 
+(* A mistyped ACCEL_PROF_* value must not fall back to its default
+   unnoticed: name the knob and exit before any work starts.  Runs after
+   the command's own flags are applied, so it checks effective values. *)
+let check_knobs () =
+  match Pasta.Config.check_knobs () with
+  | Ok () -> ()
+  | Error msg ->
+      Format.eprintf "[accelprof] %s@." msg;
+      exit Pasta.Exit_code.failure
+
 let arch_of_string = function
   | "a100" -> Ok Gpusim.Arch.a100
   | "rtx3060" -> Ok Gpusim.Arch.rtx3060
@@ -529,6 +539,7 @@ let run_workload ?capture ?default_tool tool_name gpu mode iters sample_cap
   Pasta.Telemetry.refresh_level ();
   Pasta.Telemetry.reset ();
   if strict_fleet then Pasta.Config.set "ACCEL_PROF_STRICT_FLEET" "1";
+  check_knobs ();
   if devices < 1 then `Error (true, "--devices must be >= 1")
   else if devices > 1 then
     run_fleet ~devices ~fanout:fleet_fanout
@@ -772,6 +783,7 @@ let run_replay path tools tolerant devices fleet_fanout strict_fleet
     (fun s -> Pasta.Config.set "ACCEL_PROF_FAULT_SEED" (Int64.to_string s))
     fault_seed;
   if strict_fleet then Pasta.Config.set "ACCEL_PROF_STRICT_FLEET" "1";
+  check_knobs ();
   if devices > 1 then begin
     (* IN.ptrace is the prefix a fleet `record --devices N` wrote; the
        cascade (same seed, same fault schedule) is rebuilt offline from
@@ -1012,6 +1024,7 @@ let self_test_arg =
 
 let run_serve listen capacity quota workers budget self_test =
   Pasta_tools.Tools.register_all ();
+  check_knobs ();
   if self_test then (
     match Pasta.Serve.self_test () with
     | Ok () ->

@@ -101,10 +101,12 @@ let sample_cap () = get_int "ACCEL_PROF_ENV_SAMPLE_RATE"
 
 (* --- Adaptive sampling knobs --- *)
 
-let sampling_rate () =
-  match Option.bind (get "ACCEL_PROF_SAMPLE_RATE") float_of_string_opt with
+let rate_of_string v =
+  match float_of_string_opt v with
   | Some r when r > 0.0 && r <= 1.0 && Float.is_finite r -> Some r
   | _ -> None
+
+let sampling_rate () = Option.bind (get "ACCEL_PROF_SAMPLE_RATE") rate_of_string
 
 (* Accepts "5%" (percent of workload time) or "0.05" (fraction). *)
 let parse_budget s =
@@ -151,19 +153,27 @@ let watchdog_us () =
   | Some v when v > 0.0 -> v
   | _ -> 1_000_000.0
 
+let positive_int_of_string v =
+  match int_of_string_opt v with Some n when n > 0 -> Some n | _ -> None
+
 let domains () =
   let cap = max 1 (min 8 (Domain.recommended_domain_count ())) in
-  match get_int "ACCEL_PROF_DOMAINS" with
-  | Some n when n > 0 -> min n 64
-  | _ -> cap
+  match Option.bind (get "ACCEL_PROF_DOMAINS") positive_int_of_string with
+  | Some n -> min n 64
+  | None -> cap
 
 (* --- Intra-kernel region profiling knob --- *)
 
+let regions_of_string v =
+  match String.lowercase_ascii v with
+  | "fine" | "full" | "2" -> Some Gpusim.Instrpass.Fine
+  | "coarse" | "1" | "on" | "true" | "yes" -> Some Gpusim.Instrpass.Coarse
+  | "off" | "0" | "false" | "no" | "none" -> Some Gpusim.Instrpass.Off
+  | _ -> None
+
 let regions () =
-  match Option.map String.lowercase_ascii (get "ACCEL_PROF_REGIONS") with
-  | Some ("fine" | "full" | "2") -> Gpusim.Instrpass.Fine
-  | Some ("coarse" | "1" | "on" | "true" | "yes") -> Gpusim.Instrpass.Coarse
-  | Some _ | None -> Gpusim.Instrpass.Off
+  Option.value ~default:Gpusim.Instrpass.Off
+    (Option.bind (get "ACCEL_PROF_REGIONS") regions_of_string)
 
 let inject_faults () =
   match get "ACCEL_PROF_INJECT_FAULTS" with
@@ -204,11 +214,16 @@ let strict_fleet () =
 
 (* --- Self-telemetry knobs --- *)
 
+let telemetry_of_string v =
+  match String.lowercase_ascii v with
+  | "off" | "0" | "false" | "no" | "none" -> Some `Off
+  | "basic" | "1" | "on" | "true" | "yes" -> Some `Basic
+  | "full" | "2" -> Some `Full
+  | _ -> None
+
 let telemetry () =
-  match Option.map String.lowercase_ascii (get "ACCEL_PROF_TELEMETRY") with
-  | Some ("off" | "0" | "false" | "no" | "none") -> `Off
-  | Some ("full" | "2") -> `Full
-  | Some _ | None -> `Basic
+  Option.value ~default:`Basic
+    (Option.bind (get "ACCEL_PROF_TELEMETRY") telemetry_of_string)
 
 let telemetry_spans () =
   match get_int "ACCEL_PROF_TELEMETRY_SPANS" with
@@ -231,3 +246,34 @@ let trace_strict () =
   match get "ACCEL_PROF_TRACE_STRICT" with
   | Some ("0" | "false" | "no" | "off" | "tolerant") -> false
   | _ -> true
+
+(* --- Knob validation --------------------------------------------------- *)
+
+(* The knobs whose accessors above fall back to a default on a value they
+   cannot parse.  Each entry checks with the accessor's own parser, so
+   "valid" here and "honoured" there cannot drift apart.  An empty value
+   counts as unset. *)
+let validated_knobs =
+  let ok parse v = Option.is_some (parse v) in
+  [
+    ( "ACCEL_PROF_OVERFLOW_POLICY",
+      "drop-oldest, drop-newest or block",
+      ok Pasta_util.Ring_buffer.overflow_of_string );
+    ("ACCEL_PROF_DOMAINS", "a positive integer", ok positive_int_of_string);
+    ("ACCEL_PROF_SAMPLE_RATE", "a number in (0, 1]", ok rate_of_string);
+    ("ACCEL_PROF_REGIONS", "off, coarse or fine", ok regions_of_string);
+    ("ACCEL_PROF_TELEMETRY", "off, basic or full", ok telemetry_of_string);
+  ]
+
+let check_knob k v =
+  match List.find_opt (fun (key, _, _) -> key = k) validated_knobs with
+  | Some (_, expected, valid) when v <> "" && not (valid v) ->
+      Error (Printf.sprintf "bad value %S for %s (expected %s)" v k expected)
+  | _ -> Ok ()
+
+let check_knobs () =
+  List.fold_left
+    (fun acc (k, _, _) ->
+      Result.bind acc (fun () ->
+          match get k with Some v -> check_knob k v | None -> Ok ()))
+    (Ok ()) validated_knobs

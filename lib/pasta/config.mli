@@ -95,7 +95,8 @@ val domains : unit -> int
 
 val regions : unit -> Gpusim.Instrpass.granularity
 (** [ACCEL_PROF_REGIONS]: intra-kernel region instrumentation level.
-    [off] (the default, also any unrecognized value) inserts no probes and
+    [off]/[0]/[no] (the default, also any unrecognized value, which
+    {!check_knobs} reports) inserts no probes and
     keeps runs byte-identical to an uninstrumented session;
     [coarse]/[on]/[1] probes prologue, body and epilogue;
     [fine]/[full]/[2] additionally splits the body per memory region,
@@ -164,3 +165,22 @@ val trace_strict : unit -> bool
 (** [ACCEL_PROF_TRACE_STRICT]: replay verification mode.  Strict (the
     default) fails on any CRC or framing violation; [0]/[off]/[tolerant]
     skips corrupt chunks and keeps going. *)
+
+(** {2 Knob validation}
+
+    The accessors above fall back to their default on a value they cannot
+    parse, so a session always configures itself.  Entry points check
+    first, so a mistyped value is reported instead of silently ignored. *)
+
+val check_knob : string -> string -> (unit, string) result
+(** [check_knob key value]: [Error] naming the knob, the value and the
+    accepted values when [value] is not one the knob's accessor parses.
+    One table covers [ACCEL_PROF_OVERFLOW_POLICY], [ACCEL_PROF_DOMAINS],
+    [ACCEL_PROF_SAMPLE_RATE], [ACCEL_PROF_REGIONS] and
+    [ACCEL_PROF_TELEMETRY], and checks with each accessor's own parser.
+    [Ok] for every other key and for the empty value (which counts as
+    unset). *)
+
+val check_knobs : unit -> (unit, string) result
+(** {!check_knob} over the effective value ({!get}) of every knob in that
+    table; the first bad one is reported. *)

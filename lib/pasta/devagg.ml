@@ -15,7 +15,7 @@ let block_bytes = 2 * 1024 * 1024
 type shard = {
   s_objects : (int, Objmap.obj * int) Hashtbl.t;  (* obj_key -> (obj, weight) *)
   s_blocks : (int, int) Hashtbl.t;  (* block index -> weight *)
-  s_intervals : (int * int) list;  (* sorted disjoint [base, limit) *)
+  s_intervals : int array;  (* flat sorted disjoint [base, limit) pairs *)
   s_regions : (int * int) list;  (* batch region index -> weight *)
   s_records : int;
   s_weight : int;
@@ -25,33 +25,13 @@ type shard = {
 type summary = {
   objects : (Objmap.obj * int) list;
   blocks : (int * int) list;
-  coalesced : (int * int) list;
+  coalesced : Extents.t;
   regions : (int * int) list;
   sampled_records : int;
   true_accesses : int;
   writes : int;
   est_rate : float;
 }
-
-(* Fuse overlapping or adjacent [base, limit) pairs of a base-sorted list. *)
-let fuse = function
-  | [] -> []
-  | (b0, l0) :: rest ->
-      let acc, cur =
-        List.fold_left
-          (fun (acc, (cb, cl)) (b, l) ->
-            if b <= cl then (acc, (cb, max cl l)) else ((cb, cl) :: acc, (b, l)))
-          ([], (b0, l0))
-          rest
-      in
-      List.rev (cur :: acc)
-
-(* Merge two base-sorted interval lists, preserving base order. *)
-let rec merge_sorted a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | ((ab, _) as x) :: a', ((bb, _) as y) :: b' ->
-      if (ab : int) <= bb then x :: merge_sorted a' b else y :: merge_sorted a b'
 
 (* In-place quicksort of [a.(lo..hi)] with primitive int comparisons;
    [Array.sort compare] would pay a polymorphic-compare call per
@@ -183,6 +163,30 @@ let sort_pairs_in ~(bounds : int array) ~(bounds2 : int array)
    by (addr, size) without boxing anything. *)
 let ival_pack = 8192
 
+(* Coalesce the [n] sorted packed records [ivals.(0 .. n-1)] and write the
+   surviving [base, limit) pairs flat into [out] from index [k]; [out]
+   must have room for [2 * n] more ints.  Returns the new fill index. *)
+let coalesce_packed (ivals : int array) n (out : int array) k =
+  let k = ref k in
+  let cb = ref (Array.unsafe_get ivals 0 / ival_pack) in
+  let cl = ref (!cb + (Array.unsafe_get ivals 0 mod ival_pack)) in
+  for i = 1 to n - 1 do
+    let p = Array.unsafe_get ivals i in
+    let base = p / ival_pack in
+    let limit = base + (p mod ival_pack) in
+    if base <= !cl then (if limit > !cl then cl := limit)
+    else begin
+      out.(!k) <- !cb;
+      out.(!k + 1) <- !cl;
+      k := !k + 2;
+      cb := base;
+      cl := limit
+    end
+  done;
+  out.(!k) <- !cb;
+  out.(!k + 1) <- !cl;
+  !k + 2
+
 let aggregate view (b : W.batch) =
   let objects = Hashtbl.create 16 and blocks = Hashtbl.create 32 in
   let weight = ref 0 and writes = ref 0 in
@@ -249,26 +253,13 @@ let aggregate view (b : W.batch) =
   flush_blk ();
   let intervals =
     let n = b.W.b_len in
-    if n = 0 then []
+    if n = 0 then [||]
     else begin
       (* Sequential chunks arrive already sorted; only strided/random
          layouts pay for the sort. *)
       if not (is_sorted ivals n) then qsort ivals 0 (n - 1);
-      (* One coalescing pass over the sorted packed endpoints. *)
-      let out = ref [] in
-      let cb = ref (ivals.(0) / ival_pack) in
-      let cl = ref (!cb + (ivals.(0) mod ival_pack)) in
-      for i = 1 to n - 1 do
-        let base = ivals.(i) / ival_pack in
-        let limit = base + (ivals.(i) mod ival_pack) in
-        if base <= !cl then cl := max !cl limit
-        else begin
-          out := (!cb, !cl) :: !out;
-          cb := base;
-          cl := limit
-        end
-      done;
-      List.rev ((!cb, !cl) :: !out)
+      let out = Array.make (2 * n) 0 in
+      Array.sub out 0 (coalesce_packed ivals n out 0)
     end
   in
   {
@@ -300,7 +291,7 @@ let region_tally_sorted tbl =
 let merge ?(est_rate = 1.0) shards =
   let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in
   let regions = Hashtbl.create 8 in
-  let intervals = ref [] and records = ref 0 and weight = ref 0 and writes = ref 0 in
+  let records = ref 0 and weight = ref 0 and writes = ref 0 in
   Array.iter
     (fun s ->
       (* Accumulating sums is order-insensitive, and the sorted output below
@@ -315,9 +306,6 @@ let merge ?(est_rate = 1.0) shards =
         (fun blk w ->
           Hashtbl.replace blocks blk (w + Option.value ~default:0 (Hashtbl.find_opt blocks blk)))
         s.s_blocks;
-      (* Each shard's intervals are sorted and disjoint, so a linear merge
-         keeps the accumulator sorted without ever re-sorting. *)
-      intervals := merge_sorted s.s_intervals !intervals;
       region_tally_add regions s.s_regions;
       records := !records + s.s_records;
       weight := !weight + s.s_weight;
@@ -332,7 +320,11 @@ let merge ?(est_rate = 1.0) shards =
       List.sort
         (fun ((a, _) : int * int) (b, _) -> compare a b)
         (Hashtbl.fold (fun b w acc -> (b, w) :: acc) blocks []);
-    coalesced = fuse !intervals;
+    (* Each shard's intervals are sorted and disjoint, so one k-way pass
+       merges them without re-sorting. *)
+    coalesced =
+      Extents.coalesce
+        (Extents.merge (Array.map (fun s -> [ s.s_intervals ]) shards));
     regions = region_tally_sorted regions;
     sampled_records = !records;
     true_accesses = !weight;
@@ -345,10 +337,9 @@ let merge ?(est_rate = 1.0) shards =
 (* One accumulator per worker domain, reused across every chunk that worker
    reduces (and, via {!accum_reset}, across kernels): batches flush their
    run-length tallies into persistent hashtables and their {e per-chunk
-   coalesced} intervals into a growable flat pair array, so the interval
-   lists, the fresh per-chunk hashtables and the quadratic [merge_sorted]
-   accumulation of [aggregate]+[merge] all disappear.  Everything is merged
-   exactly once per kernel in [merge_accums].
+   coalesced} intervals into a growable flat pair array, so the per-chunk
+   interval arrays and hashtables of [aggregate]+[merge] disappear.
+   Everything is merged exactly once per kernel in [merge_accums].
 
    Coalescing per chunk before appending matters: generation chunks are
    usually address-sorted already, so the per-chunk pass is a sort-free
@@ -385,8 +376,8 @@ type accum = {
   mutable a_writes : int;
   (* Merge arena, used through the {e first} accumulator of the array
      handed to [merge_accums] and reused every kernel, so the per-kernel
-     merge allocates no arrays (the output summary's lists are the only
-     per-kernel allocation left). *)
+     merge allocates no scratch (the output summary's lists and extent
+     chunks are the only per-kernel allocation left). *)
   mutable a_cat : int array;  (* concatenated pairs (multi-accum merges only) *)
   mutable a_sscratch : int array;  (* run-merge scratch, 2*npairs ints *)
   mutable a_bounds : int array;  (* run boundaries, npairs+1 ints *)
@@ -578,26 +569,7 @@ let accum_add acc view (b : W.batch) =
     if not !sorted then qsort ivals 0 (n - 1);
     (* Coalesce the chunk and append the surviving [base, limit) pairs. *)
     accum_reserve acc (2 * n);
-    let out = acc.a_ivals in
-    let k = ref acc.a_nivals in
-    let cb = ref (Array.unsafe_get ivals 0 / ival_pack) in
-    let cl = ref (!cb + (Array.unsafe_get ivals 0 mod ival_pack)) in
-    for i = 1 to n - 1 do
-      let p = Array.unsafe_get ivals i in
-      let base = p / ival_pack in
-      let limit = base + (p mod ival_pack) in
-      if base <= !cl then (if limit > !cl then cl := limit)
-      else begin
-        out.(!k) <- !cb;
-        out.(!k + 1) <- !cl;
-        k := !k + 2;
-        cb := base;
-        cl := limit
-      end
-    done;
-    out.(!k) <- !cb;
-    out.(!k + 1) <- !cl;
-    acc.a_nivals <- !k + 2
+    acc.a_nivals <- coalesce_packed ivals n acc.a_ivals acc.a_nivals
   end;
   (* The batch header carries the chunk's region index, so the per-region
      weighted tally costs one hashtable bump per batch, not per record. *)
@@ -663,28 +635,21 @@ let merge_accums ?(est_rate = 1.0) accums =
     accums;
   (* The single pair sort makes the interval multiset canonical, so worker
      assignment and arrival order cannot leak into the output.  Chunks were
-     coalesced on the way in, so this sorts intervals, not records. *)
+     coalesced on the way in, so this sorts intervals, not records.  The
+     sorted arena is coalesced straight into the summary's chunks. *)
   let coalesced =
     let npairs = total / 2 in
-    if npairs = 0 then []
+    if npairs = 0 then Extents.empty
     else begin
       a0.a_sscratch <- ensure_ints a0.a_sscratch (2 * npairs);
       a0.a_bounds <- ensure_ints a0.a_bounds (npairs + 1);
       a0.a_bounds2 <- ensure_ints a0.a_bounds2 (npairs + 1);
       sort_pairs_in ~bounds:a0.a_bounds ~bounds2:a0.a_bounds2
         ~scratch:a0.a_sscratch ivals npairs;
-      let out = ref [] in
-      let cb = ref ivals.(0) and cl = ref ivals.(1) in
-      for i = 1 to npairs - 1 do
-        let base = ivals.(2 * i) and limit = ivals.((2 * i) + 1) in
-        if base <= !cl then (if limit > !cl then cl := limit)
-        else begin
-          out := (!cb, !cl) :: !out;
-          cb := base;
-          cl := limit
-        end
-      done;
-      List.rev ((!cb, !cl) :: !out)
+      Extents.coalesce (fun f ->
+          for i = 0 to npairs - 1 do
+            f ivals.(2 * i) ivals.((2 * i) + 1)
+          done)
     end
   in
   {
@@ -713,7 +678,7 @@ let merge_accums ?(est_rate = 1.0) accums =
 let merge_summaries ?est_rate summaries =
   let objects = Hashtbl.create 64 and blocks = Hashtbl.create 128 in
   let regions = Hashtbl.create 8 in
-  let intervals = ref [] and records = ref 0 and weight = ref 0 and writes = ref 0 in
+  let records = ref 0 and weight = ref 0 and writes = ref 0 in
   let rate_num = ref 0.0 in
   List.iter
     (fun s ->
@@ -729,7 +694,6 @@ let merge_summaries ?est_rate summaries =
           Hashtbl.replace blocks blk
             (w + Option.value ~default:0 (Hashtbl.find_opt blocks blk)))
         s.blocks;
-      intervals := merge_sorted s.coalesced !intervals;
       region_tally_add regions s.regions;
       records := !records + s.sampled_records;
       weight := !weight + s.true_accesses;
@@ -750,7 +714,11 @@ let merge_summaries ?est_rate summaries =
       List.sort
         (fun ((a, _) : int * int) (b, _) -> compare a b)
         (Hashtbl.fold (fun b w acc -> (b, w) :: acc) blocks []);
-    coalesced = fuse !intervals;
+    (* Each input's extents are already sorted and disjoint: one k-way pass
+       (k = the merge node's fanout) instead of a concatenate-and-sort. *)
+    coalesced =
+      Extents.coalesce
+        (Extents.merge (Array.of_list (List.map (fun s -> s.coalesced) summaries)));
     regions = region_tally_sorted regions;
     sampled_records = !records;
     true_accesses = !weight;
@@ -769,9 +737,14 @@ let validate s =
     | [] -> true
     | (k, w) :: rest -> w > 0 && k > prev && sorted_pos k rest
   in
-  let rec intervals_ok prev = function
-    | [] -> true
-    | (b, l) :: rest -> b >= prev && l > b && intervals_ok l rest
+  let intervals_ok e =
+    let prev = ref min_int and ok = ref true in
+    Extents.iter
+      (fun b l ->
+        if b < !prev || l <= b then ok := false;
+        prev := l)
+      e;
+    !ok
   in
   let osum = List.fold_left (fun acc (_, w) -> acc + w) 0 s.objects in
   let bsum = List.fold_left (fun acc (_, w) -> acc + w) 0 s.blocks in
@@ -791,7 +764,9 @@ let validate s =
   then Error "object list unsorted or non-positive"
   else if not (sorted_pos min_int s.blocks) then
     Error "block list unsorted or non-positive"
-  else if not (intervals_ok min_int s.coalesced) then
+  else if List.exists (fun c -> Array.length c land 1 = 1) s.coalesced then
+    Error "coalesced extents of odd length"
+  else if not (intervals_ok s.coalesced) then
     Error "coalesced intervals unsorted or empty"
   else if not (Float.is_finite s.est_rate) || s.est_rate <= 0.0 || s.est_rate > 1.0
   then Error "est_rate outside (0, 1]"
@@ -810,7 +785,7 @@ let pp ppf s =
     "@[<v>%d objects, %d hot blocks, %d coalesced extents; %d records standing for %d \
      accesses (%d writes)@]"
     (List.length s.objects) (List.length s.blocks)
-    (List.length s.coalesced)
+    (Extents.length s.coalesced)
     s.sampled_records s.true_accesses s.writes;
   if s.est_rate < 1.0 then
     Format.fprintf ppf " [estimate, rate %.3f, ±%.1f%%]" s.est_rate

@@ -19,7 +19,13 @@ val aggregate : Objmap.view -> Gpusim.Warp.batch -> shard
 type summary = {
   objects : (Objmap.obj * int) list;  (** weighted counts, sorted by object key *)
   blocks : (int * int) list;  (** (block index, weighted count), sorted *)
-  coalesced : (int * int) list;  (** disjoint touched extents, sorted *)
+  coalesced : Extents.t;
+      (** touched extents as flat, unboxed [[| base; limit; ... |]] pairs
+          in fixed-size chunks ({!Extents}): half-open [[base, limit)],
+          sorted by base, disjoint and non-touching (touching extents are
+          fused), every limit above its base.  Unboxed because strided
+          kernels barely coalesce: a summary can hold nearly one extent
+          per record. *)
   regions : (int * int) list;
       (** (kernel memory-region index, weighted count), sorted: each
           generation chunk carries its region in the batch header, so the
@@ -63,7 +69,8 @@ val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
 val merge_accums : ?est_rate:float -> accum array -> summary
 (** Merge per-worker accumulators once per kernel: sums the tallies,
     sorts the concatenated {e already per-chunk-coalesced} intervals —
-    intervals, not records — and coalesces them in a single pass.
+    intervals, not records — in a reused merge arena and coalesces the
+    sorted arena straight into the summary's extent chunks.
     Byte-identical to [merge (Array.map (aggregate view) batches)] for
     the same records, at any domain count — coalescing computes the same
     connected components under the same overlap-or-touch closure
@@ -73,13 +80,17 @@ val merge_summaries : ?est_rate:float -> summary list -> summary
 (** Combine already-merged summaries into one — the merge-node primitive
     of a hierarchical (fleet) reduction.  Order-insensitive: counts are
     sums and outputs are sorted, so any reduction tree over the same
-    inputs yields the same bytes.  [est_rate] defaults to the
-    record-weighted mean of the inputs' rates. *)
+    inputs yields the same bytes.  Each input's extents are already
+    sorted, so they merge and coalesce in one k-way pass
+    ({!Extents.merge}, k = the number of inputs: the fleet fanout, 8 by
+    default); no concatenation or sort scratch is allocated.  [est_rate]
+    defaults to the record-weighted mean of the inputs' rates. *)
 
 val validate : summary -> (unit, string) result
 (** Structural integrity check for failure-aware merge nodes: object,
     block and region weights must each sum to [true_accesses], output
-    lists must be sorted with positive counts, intervals disjoint,
+    lists must be sorted with positive counts, [coalesced] chunks of even
+    length holding sorted, disjoint, non-empty extents,
     [est_rate] in (0, 1].  [Error] names the violated invariant. *)
 
 val rel_stderr : summary -> float

@@ -342,8 +342,6 @@ let put_colf buf ~(get : int -> int) len =
     end
   end
 
-let put_col buf (a : int array) len = put_colf buf ~get:(Array.unsafe_get a) len
-
 (* Decode one column through an element setter — columns decode straight
    into their final Bigarray storage, no intermediate int array. *)
 let get_colf c ~(set : int -> int -> unit) len =
@@ -404,14 +402,11 @@ let put_batch buf (b : Gpusim.Warp.batch) =
      mostly monotone with near-constant stride, so the delta column
      collapses under the column codec even when absolute addresses are
      large. *)
-  let deltas = Array.make (max len 1) 0 in
-  let prev = ref 0 in
-  for i = 0 to len - 1 do
-    let a = Bigarray.Array1.unsafe_get b.W.addrs i in
-    Array.unsafe_set deltas i (zigzag (a - !prev));
-    prev := a
-  done;
-  put_col buf deltas len;
+  let addrs = b.W.addrs in
+  put_colf buf len ~get:(fun i ->
+      let a = Bigarray.Array1.unsafe_get addrs i in
+      zigzag
+        (if i = 0 then a else a - Bigarray.Array1.unsafe_get addrs (i - 1)));
   put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.sizes i) len;
   put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.warps i) len;
   put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.weights i) len;
@@ -529,100 +524,106 @@ let pairs_plain = 0
 
 let pairs_rle = 1
 
-let count_pair_runs l =
-  let runs = ref 0 and prev = ref 0 and step = ref 0 and b0 = ref 0 in
+(* The codec reads a pair sequence through an iterator, so the same bytes
+   come out for the [blocks]/[regions] lists and the chunked [coalesced]
+   extents, and decodes through a callback that appends each pair. *)
+let count_pair_runs iter =
+  let runs = ref 0 and prev = ref 0 and step = ref 0 and r0 = ref 0 in
   let first = ref true in
-  List.iter
-    (fun (a, b) ->
+  iter (fun a b ->
       let d = a - !prev and r = b - a in
       prev := a;
-      if !first || d <> !step || r <> !b0 then begin
+      if !first || d <> !step || r <> !r0 then begin
         incr runs;
         first := false;
         step := d;
-        b0 := r
-      end)
-    l;
+        r0 := r
+      end);
   !runs
 
-let put_pair_list buf l =
-  let len = List.length l in
+let put_pairs buf len iter =
   put_u buf len;
   if len = 0 then ()
   else begin
-    let runs = count_pair_runs l in
+    let runs = count_pair_runs iter in
     (* A run costs one extra varint; worth it when runs are long. *)
     if 3 * runs <= 2 * len then begin
       put_u buf pairs_rle;
-      let pending = ref 0 and prev = ref 0 and step = ref 0 and b0 = ref 0 in
+      let pending = ref 0 and prev = ref 0 and step = ref 0 and r0 = ref 0 in
       let flush () =
         if !pending > 0 then begin
           put_u buf !pending;
           put_z buf !step;
-          put_z buf !b0
+          put_z buf !r0
         end
       in
-      List.iter
-        (fun (a, b) ->
+      iter (fun a b ->
           let d = a - !prev and r = b - a in
           prev := a;
-          if !pending > 0 && d = !step && r = !b0 then incr pending
+          if !pending > 0 && d = !step && r = !r0 then incr pending
           else begin
             flush ();
             pending := 1;
             step := d;
-            b0 := r
-          end)
-        l;
+            r0 := r
+          end);
       flush ()
     end
     else begin
       put_u buf pairs_plain;
       let prev = ref 0 in
-      List.iter
-        (fun (a, b) ->
+      iter (fun a b ->
           put_z buf (a - !prev);
           prev := a;
           put_z buf (b - a))
-        l
     end
   end
 
-let get_pair_list c =
+(* Calls [add] once per decoded pair, so memory follows the pairs actually
+   decoded: a run-length list can declare [max_batch_len] pairs in a few
+   bytes, and a corrupt count must not make the reader allocate for it. *)
+let get_pairs c ~add =
   let n = get_len ~max:max_batch_len c "pair list" in
-  if n = 0 then []
-  else begin
+  if n > 0 then begin
     let prev = ref 0 in
     match get_u c with
     | t when t = pairs_plain ->
-        if n > remaining c then corrupt "bad pair list length %d" n;
-        let rec go k acc =
-          if k = 0 then List.rev acc
-          else begin
-            let a = !prev + get_z c in
-            prev := a;
-            let b = a + get_z c in
-            go (k - 1) ((a, b) :: acc)
-          end
-        in
-        go n []
+        if n > remaining c / 2 then corrupt "bad pair list length %d" n;
+        for _ = 1 to n do
+          let a = !prev + get_z c in
+          prev := a;
+          add a (a + get_z c)
+        done
     | t when t = pairs_rle ->
-        let acc = ref [] in
-        let remaining = ref n in
-        while !remaining > 0 do
+        let left = ref n in
+        while !left > 0 do
           let count = get_u c in
-          if count = 0 || count > !remaining then corrupt "bad pair run %d" count;
-          remaining := !remaining - count;
+          if count <= 0 || count > !left then corrupt "bad pair run %d" count;
+          left := !left - count;
           let step = get_z c in
           let r = get_z c in
           for _ = 1 to count do
             prev := !prev + step;
-            acc := (!prev, !prev + r) :: !acc
+            add !prev (!prev + r)
           done
-        done;
-        List.rev !acc
+        done
     | t -> corrupt "bad pair-list tag %d" t
   end
+
+let put_pair_list buf l =
+  put_pairs buf (List.length l) (fun f -> List.iter (fun (a, b) -> f a b) l)
+
+let get_pair_list c =
+  let acc = ref [] in
+  get_pairs c ~add:(fun a b -> acc := (a, b) :: !acc);
+  List.rev !acc
+
+let put_extents buf e = put_pairs buf (Extents.length e) (fun f -> Extents.iter f e)
+
+let get_extents c =
+  let b = Extents.builder () in
+  get_pairs c ~add:(Extents.push b);
+  Extents.finish b
 
 let put_summary buf (s : Devagg.summary) =
   put_u buf (List.length s.Devagg.objects);
@@ -632,7 +633,7 @@ let put_summary buf (s : Devagg.summary) =
       put_z buf w)
     s.Devagg.objects;
   put_pair_list buf s.Devagg.blocks;
-  put_pair_list buf s.Devagg.coalesced;
+  put_extents buf s.Devagg.coalesced;
   put_pair_list buf s.Devagg.regions;
   put_u buf s.Devagg.sampled_records;
   put_u buf s.Devagg.true_accesses;
@@ -648,7 +649,7 @@ let get_summary c =
         (o, w))
   in
   let blocks = get_pair_list c in
-  let coalesced = get_pair_list c in
+  let coalesced = get_extents c in
   let regions = get_pair_list c in
   let sampled_records = get_u c in
   let true_accesses = get_u c in

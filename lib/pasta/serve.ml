@@ -419,7 +419,10 @@ let validate (s : Proto.submit) =
           (Printf.sprintf
              "knob %S is not session-scoped; tenants may only override: %s" k
              (String.concat ", " Config.session_knob_keys))
-    | None -> Ok ()
+    | None ->
+        List.fold_left
+          (fun acc (k, v) -> Result.bind acc (fun () -> Config.check_knob k v))
+          (Ok ()) s.Proto.knobs
 
 let submit t (spec : Proto.submit) =
   match validate spec with

@@ -106,7 +106,11 @@ let g_obj =
 let g_summary =
   let* objects = QCheck.Gen.small_list (QCheck.Gen.pair g_obj g_nat) in
   let* blocks = QCheck.Gen.small_list (QCheck.Gen.pair g_nat g_nat) in
-  let* coalesced = QCheck.Gen.small_list (QCheck.Gen.pair g_addr g_nat) in
+  let* coalesced =
+    QCheck.Gen.map Pasta.Extents.of_pairs
+      (QCheck.Gen.list_size (QCheck.Gen.int_range 0 300)
+         (QCheck.Gen.pair g_addr g_nat))
+  in
   let* regions = QCheck.Gen.small_list (QCheck.Gen.pair g_nat g_nat) in
   let* sampled_records = g_nat in
   let* true_accesses = g_nat in
@@ -450,6 +454,147 @@ let test_fuzz_payloads () =
         Alcotest.failf "payload %S raised %s" m (Printexc.to_string e)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Summary pair lists: pinned bytes and targeted corruption             *)
+(* ------------------------------------------------------------------ *)
+
+let pinned_kernel =
+  {
+    Pasta.Event.device_id = 0;
+    grid_id = 7;
+    stream = 1;
+    name = "k";
+    grid = Gpusim.Dim3.make 2;
+    block = Gpusim.Dim3.make 32;
+    shared_bytes = 0;
+    arg_ptrs = [ 0x1000 ];
+    py_stack = [];
+    native_stack = [];
+  }
+
+let summary_payload ?(objects = []) ?(blocks = []) ?(regions = [])
+    ?(sampled_records = 0) ?(true_accesses = 0) ?(writes = 0) coalesced =
+  Pasta.Ptrace.payload_to_string
+    (Pasta.Event.Device_summary
+       {
+         kernel = pinned_kernel;
+         summary =
+           {
+             Pasta.Devagg.objects;
+             blocks;
+             coalesced;
+             regions;
+             sampled_records;
+             true_accesses;
+             writes;
+             est_rate = 0.5;
+           };
+       })
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* The chunked extents must encode to exactly the bytes the boxed-pair
+   list encoded to, so ptrace stays at v5.  The first summary's strided
+   extents take the run-length form and its blocks the plain form; the
+   second's irregular extents take the plain form. *)
+let test_pinned_summary_bytes () =
+  let strided =
+    Pasta.Extents.of_pairs
+      (List.init 8 (fun i -> (0x10000 + (256 * i), 0x10040 + (256 * i))))
+  in
+  let a =
+    summary_payload
+      ~objects:
+        [ (Pasta.Objmap.Tensor { ptr = 0x10000; bytes = 4096; tag = "w" }, 5) ]
+      ~blocks:[ (3, 2); (7, 3) ] ~regions:[ (0, 5) ] ~sampled_records:4
+      ~true_accesses:5 ~writes:1 strided
+  in
+  let b =
+    summary_payload
+      (Pasta.Extents.of_pairs
+         [ (0x2000, 0x2008); (0x2100, 0x2140); (0x9000, 0x9001) ])
+  in
+  Alcotest.(check string) "run-length extents, plain blocks"
+    "0a00000701016b0201012001010001804000000100808008802001770a020006010807080101808008800107800480010100000a040501000000000000e03f"
+    (hex a);
+  Alcotest.(check string) "plain extents"
+    "0a00000701016b02010120010100018040000000000300808001108004800180bc030200000000000000000000e03f"
+    (hex b)
+
+(* Replace the [coalesced] pair list of an encoded summary payload built
+   with empty lists and zero counts: its last 8 bytes are [est_rate], and
+   before them sit seven single-byte zeros — objects, blocks, coalesced,
+   regions, sampled, true and writes. *)
+let with_pair_list bytes =
+  let base = summary_payload Pasta.Extents.empty in
+  let n = String.length base in
+  String.sub base 0 (n - 13) ^ bytes ^ String.sub base (n - 12) 12
+
+let varint n =
+  let buf = Buffer.create 10 in
+  put_varint buf n;
+  Buffer.contents buf
+
+let expect_corrupt what payload =
+  match Pasta.Ptrace.payload_of_string payload with
+  | exception Pasta.Ptrace.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s decoded" what
+
+let test_pair_list_targets () =
+  check_bool "splice point round-trips" true
+    (Pasta.Ptrace.payload_of_string (with_pair_list "\x00")
+    = Pasta.Ptrace.payload_of_string (summary_payload Pasta.Extents.empty));
+  (* A run-length list declaring the maximum pair count (2^22) whose only
+     run covers one pair: the decoder must not size its output from the
+     declared count before the runs back it. *)
+  let huge = with_pair_list (varint (1 lsl 22) ^ "\x01" ^ "\x01\x02\x02") in
+  let before = Gc.allocated_bytes () in
+  expect_corrupt "huge declared run-length list" huge;
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "allocation bounded (%.0f bytes)" allocated)
+    true (allocated < 65536.0);
+  (* A run that overflows the declared count. *)
+  expect_corrupt "run past the declared count"
+    (with_pair_list ("\x03\x01" ^ "\x02\x02\x02" ^ "\x05\x02\x02"));
+  expect_corrupt "single run past the declared count"
+    (with_pair_list ("\x03\x01" ^ "\x04\x02\x02"));
+  (* A plain list cut off mid-pair: with the payload's tail after it, and
+     at the end of the payload. *)
+  let plain =
+    "\x09\x00" ^ String.concat "" (List.init 3 (fun _ -> "\x10\x02"))
+  in
+  expect_corrupt "truncated plain list" (with_pair_list plain);
+  let cut = with_pair_list plain in
+  expect_corrupt "plain list at end of payload"
+    (String.sub cut 0 (String.length cut - 12));
+  (* Seeded random pair lists: a declared count, a tag and a few run or
+     pair varints, each small or hostile.  They may decode; anything
+     else must be [Corrupt]. *)
+  let rand = Random.State.make [| 0x9a1 |] in
+  let small () = varint (Random.State.int rand 6) in
+  let any () =
+    if Random.State.int rand 4 = 0 then
+      List.nth hostile_varints
+        (Random.State.int rand (List.length hostile_varints))
+    else small ()
+  in
+  for _ = 1 to 5_000 do
+    let body =
+      String.concat "" (List.init (Random.State.int rand 10) (fun _ -> any ()))
+    in
+    let p = with_pair_list (any () ^ varint (Random.State.int rand 3) ^ body) in
+    match Pasta.Ptrace.payload_of_string p with
+    | _ | (exception Pasta.Ptrace.Corrupt _) -> ()
+    | exception e ->
+        Alcotest.failf "pair list %S raised %s" p (Printexc.to_string e)
+  done
+
 (* Ops of every submission kind, for the chunk-level fuzzer. *)
 let g_op =
   QCheck.Gen.oneof
@@ -581,6 +726,37 @@ let replay_report path =
       path
   in
   (o, Format.asprintf "%t" o.Pasta.Replay.report)
+
+(* Exact work-counter gate on the decoder.  Minor words allocated by a
+   serial decode are a deterministic function of the trace bytes, so the
+   bound needs no noise allowance.  The capture is dominated by
+   [Device_summary] ops whose strided extents barely coalesce, so nearly
+   every record decodes into one [base; limit] pair: unboxed chunks cost
+   about two words per pair, a list of boxed pairs built and reversed
+   costs more than twice that. *)
+let decode_minor_words_bound = 2.5
+
+let test_decode_minor_words () =
+  let path = temp_trace () in
+  let (_ : Pasta.Session.result) = live_run ~domains:1 path in
+  let records = ref 0 and summaries = ref 0 in
+  ignore
+    (Pasta.Ptrace.read_file path ~f:(fun ~time_us:_ op ->
+         match op with
+         | Pasta.Processor.Sk_event (Pasta.Event.Device_summary { summary; _ }) ->
+             incr summaries;
+             records := !records + summary.Pasta.Devagg.sampled_records
+         | op -> records := !records + Pasta.Ptrace.op_records op));
+  check_bool "capture holds device summaries" true (!summaries > 0);
+  let before = Gc.minor_words () in
+  ignore (Pasta.Ptrace.read_file path ~f:(fun ~time_us:_ _ -> ()));
+  let per_record = (Gc.minor_words () -. before) /. float_of_int !records in
+  Sys.remove path;
+  check_bool
+    (Printf.sprintf "%.3f minor words per decoded record <= %.1f" per_record
+       decode_minor_words_bound)
+    true
+    (per_record <= decode_minor_words_bound)
 
 let test_live_vs_replay domains () =
   let path = temp_trace () in
@@ -762,6 +938,12 @@ let suite =
       test_fuzz_payloads;
     Alcotest.test_case "fuzz: mutated chunks (CRC recomputed) raise only Corrupt"
       `Quick test_fuzz_chunks;
+    Alcotest.test_case "summary pair lists keep their v5 bytes" `Quick
+      test_pinned_summary_bytes;
+    Alcotest.test_case "corrupt pair lists raise only Corrupt, bounded" `Quick
+      test_pair_list_targets;
+    Alcotest.test_case "decode minor words per record gate" `Quick
+      test_decode_minor_words;
     Alcotest.test_case "live vs replay: byte-identical report (1 domain)"
       `Quick (test_live_vs_replay 1);
     Alcotest.test_case "live vs replay: byte-identical report (4 domains)"

@@ -117,6 +117,85 @@ let test_merge_validate_roundtrip () =
   check_int "merged totals are sums" (6 * s.Pasta.Devagg.true_accesses)
     m.Pasta.Devagg.true_accesses
 
+(* The chunked extents against a list-of-pairs reference: sort every
+   input pair, then fuse overlapping or touching ones.  Inputs are sorted
+   and disjoint each (as merge nodes receive them) but start and space
+   their extents in a narrow range, so extents of different inputs
+   overlap, touch and nest; long inputs span several 128-pair chunks. *)
+let g_extents =
+  QCheck.Gen.(
+    let* start = int_range 0 40 in
+    let* n = oneof [ int_range 0 8; int_range 100 300 ] in
+    let* steps = list_repeat n (pair (int_range 1 12) (int_range 1 12)) in
+    let _, pairs =
+      List.fold_left
+        (fun (at, acc) (gap, len) -> (at + len + gap, (at, at + len) :: acc))
+        (start, []) steps
+    in
+    return (List.rev pairs))
+
+let reference_coalesce inputs =
+  let rec fuse = function
+    | (b, l) :: (b', l') :: rest when b' <= l -> fuse ((b, max l l') :: rest)
+    | p :: rest -> p :: fuse rest
+    | [] -> []
+  in
+  fuse (List.sort compare (List.concat inputs))
+
+let extents_only coalesced =
+  {
+    Pasta.Devagg.objects = [];
+    blocks = [];
+    coalesced;
+    regions = [];
+    sampled_records = 0;
+    true_accesses = 0;
+    writes = 0;
+    est_rate = 1.0;
+  }
+
+let prop_merge_extents_match_reference =
+  QCheck.Test.make ~count:500
+    ~name:"merge_summaries extents == sort-then-fuse over pair lists"
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat " | "
+           (List.map
+              (fun ps ->
+                String.concat ";"
+                  (List.map (fun (b, l) -> Printf.sprintf "%d-%d" b l) ps))
+              l))
+       QCheck.Gen.(list_size (int_range 1 9) g_extents))
+    (fun inputs ->
+      let m =
+        Pasta.Devagg.merge_summaries
+          (List.map (fun ps -> extents_only (Pasta.Extents.of_pairs ps)) inputs)
+      in
+      m.Pasta.Devagg.coalesced
+      = Pasta.Extents.of_pairs (reference_coalesce inputs)
+      && Pasta.Devagg.validate m = Ok ())
+
+let test_validate_rejects_bad_extents () =
+  let s = Lazy.force leaf_summary in
+  let pairs = Pasta.Extents.to_pairs s.Pasta.Devagg.coalesced in
+  check_bool "leaf has two extents to disorder" true (List.length pairs >= 2);
+  let rejects what coalesced =
+    match Pasta.Devagg.validate { s with Pasta.Devagg.coalesced } with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "validate accepted %s" what
+  in
+  let last = snd (List.nth pairs (List.length pairs - 1)) in
+  rejects "an odd-length chunk"
+    (s.Pasta.Devagg.coalesced @ [ [| last + 8 |] ]);
+  rejects "unsorted extents"
+    (Pasta.Extents.of_pairs
+       (List.nth pairs 1 :: List.hd pairs :: List.tl (List.tl pairs)));
+  rejects "an empty extent"
+    (Pasta.Extents.of_pairs (pairs @ [ (last + 8, last + 8) ]));
+  rejects "an inverted extent" [ [| 100; 50 |] ];
+  rejects "disorder across chunks"
+    (Pasta.Extents.of_pairs pairs @ [ [| 0; 1 |] ])
+
 let test_tree_equals_flat () =
   let ls = leaves 20 in
   let red = F.reduce ~seed:0x5eedL ~fanout:4 ls in
@@ -437,6 +516,9 @@ let suite =
       test_plan_partitions_leaves;
     Alcotest.test_case "merge_summaries/validate round trip" `Quick
       test_merge_validate_roundtrip;
+    qtest prop_merge_extents_match_reference;
+    Alcotest.test_case "validate rejects malformed extent arrays" `Quick
+      test_validate_rejects_bad_extents;
     Alcotest.test_case "tree reduction == flat merge" `Quick test_tree_equals_flat;
     Alcotest.test_case "reduction skips missing leaves" `Quick
       test_reduce_skips_missing;

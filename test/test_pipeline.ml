@@ -227,7 +227,8 @@ let test_summary_weight_sums () =
             | [ (b, l) ] -> b < l
             | [] -> true
           in
-          if not (sorted s.Pasta.Devagg.coalesced) then incr bad)
+          if not (sorted (Pasta.Extents.to_pairs s.Pasta.Devagg.coalesced))
+          then incr bad)
     }
   in
   let (), _ = Pasta.Session.run ~sample_cap:128 ~tool device (bert_inference ctx) in

@@ -303,6 +303,36 @@ let test_submit_validation () =
   | Ok _ -> Alcotest.failf "a job setting %s should be rejected" retired);
   Serve.shutdown t
 
+(* A session-scoped knob with a value its accessor cannot parse would
+   silently run the job at the default; the submit is rejected instead,
+   naming the knob and the value.  A good value of the same knob still
+   passes. *)
+let test_submit_rejects_bad_knob_values () =
+  Pasta_tools.Tools.register_all ();
+  let t = Serve.create ~workers:1 () in
+  List.iter
+    (fun (k, v) ->
+      match Serve.submit t (spec ~tool:"kernel_freq" ~knobs:[ (k, v) ] ()) with
+      | Error msg ->
+          Alcotest.(check bool)
+            (k ^ ": rejection names the knob and the value") true
+            (Astring_contains.contains msg k && Astring_contains.contains msg v)
+      | Ok _ -> Alcotest.failf "a job setting %s=%s should be rejected" k v)
+    [
+      ("ACCEL_PROF_OVERFLOW_POLICY", "bogus");
+      ("ACCEL_PROF_SAMPLE_RATE", "2.5");
+      ("ACCEL_PROF_REGIONS", "ultra");
+    ];
+  (match
+     Serve.submit t
+       (spec ~tool:"kernel_freq"
+          ~knobs:[ ("ACCEL_PROF_SAMPLE_RATE", "0.5"); ("ACCEL_PROF_REGIONS", "fine") ]
+          ())
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "good knob values rejected: %s" msg);
+  Serve.shutdown t
+
 (* --- socket endpoint ---------------------------------------------------- *)
 
 let test_socket_smoke () =
@@ -323,5 +353,7 @@ let suite =
       test_admission_and_cancel;
     Alcotest.test_case "deadline aborts at a kernel boundary" `Quick test_deadline;
     Alcotest.test_case "submit-time validation" `Quick test_submit_validation;
+    Alcotest.test_case "submit rejects bad knob values, naming them" `Quick
+      test_submit_rejects_bad_knob_values;
     Alcotest.test_case "socket + HTTP scrape smoke" `Slow test_socket_smoke;
   ]
